@@ -349,7 +349,7 @@ def test_criterion_9_empirics_sanity():
            "kernel loss is translation invariant, so centering the noise "
            "shifts the measurements by a constant and leaves its landscape "
            "identical (ratio ~1), while the MSE fits the large uniform mean "
-           "into the recovered matrix (ratio ~2); see notes/decisions.md")
+           "into the recovered matrix (ratio ~2); see this test's docstring")
 def test_criterion_10_non_centered_noise_regression():
     """Uniform(0,1) noise, spectral init: the kernel error rises strictly
     when the mean is kept, and the MSE degrades less in relative terms.
@@ -390,5 +390,5 @@ def test_criterion_10_non_centered_noise_regression():
         assert errors[("kernel", False)] > errors[("kernel", True)]
         assert elapsed < 120.0
         # Fails: translation invariance pins the kernel ratio near 1 while
-        # the MSE absorbs the mean; see the decisions ledger.
+        # the MSE absorbs the mean; see the docstring above.
         assert mse_ratio < ker_ratio

@@ -72,6 +72,18 @@ def test_bad_arguments_exit_two(tmp):
     assert code == 2
 
 
+def test_non_finite_bandwidth_exit_two(tmp, capsys):
+    inst_file = tmp / "inst.json"
+    main(["gen", "--n", "6", "--rank", "2", "--m", "40", "--spectrum", "2,1",
+          "--noise", "gaussian", "--noise-params", "sigma=0.1", "--seed", "3",
+          "--out", str(inst_file)])
+    code = main(["solve", "--instance", str(inst_file), "--loss", "kernel",
+                 "--h", "nan", "--out", str(tmp / "run")])
+    assert code == 2
+    assert "bandwidth" in capsys.readouterr().err
+    assert not (tmp / "run_summary.json").exists()
+
+
 def test_sweep_csv_schema_and_determinism(tmp):
     cfg = dict(n=8, r=2, losses=["mse"], eps_grid=[0.4, 0.8], trials=1,
                max_iters=60, base_seed=9, out=str(tmp / "sweep.csv"))

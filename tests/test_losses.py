@@ -1,15 +1,22 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from kernsense.losses import (LossSpec, grad_M, grad_w, grad_X,
-                              hessian_quadratic_form, hessian_vector_product,
-                              kernel_grad_residual, lambda_min_hessian,
+from kernsense.losses import (_FGT_MIN_M, LossSpec, _kernel_fgt, _kernel_grad,
+                              _kernel_tables, grad_M, grad_residual, grad_w,
+                              grad_X, hessian_quadratic_form,
+                              hessian_vector_product, kernel_grad_residual,
+                              lambda_min_hessian, loss_and_grad_residual,
                               loss_value, residuals, weighted_residual_mean)
 from kernsense.model import (NoiseModel, adjoint_op, apply_op, estimate_rip,
                              gen_gaussian_operator, make_instance,
                              orthonormal_basis_operator)
+from kernsense.optimize import SolverConfig, gradient_descent
 
 # Frozen by direct scalar evaluation of the pairwise log-sum-exp with m=2,
 # residuals (0, h): both rows give -log((1 + e^-1)/2).
@@ -37,6 +44,17 @@ class TestLossSpec:
             LossSpec("huber")
         with pytest.raises(ValueError):
             LossSpec("mse", mse_norm="sum")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            LossSpec.kernel(bad)
+        with pytest.raises(ValueError):
+            LossSpec.combined(0.5, bad)
+        with pytest.raises(ValueError):
+            LossSpec.combined(bad, 1.0)
+        with pytest.raises(ValueError):
+            kernel_grad_residual(np.zeros(3), bad)
 
 
 class TestResiduals:
@@ -135,6 +153,119 @@ class TestKernelGradResidual:
         for _ in range(50):
             r = rng.standard_normal(rng.integers(2, 40)) * rng.uniform(0.1, 5)
             assert abs(kernel_grad_residual(r, 0.8).sum()) < 1e-10
+
+
+def dense_kernel(r, h):
+    """Value and gradient from the dense pairwise tables (the reference)."""
+    tables = _kernel_tables(r, h)
+    return float(-np.log(tables[2]).mean()), _kernel_grad(r, h, tables=tables)
+
+
+def sample_residuals(kind, m, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.standard_normal(m)
+    if kind == "student_t":
+        return rng.standard_t(2.0, m)
+    return np.clip(rng.standard_cauchy(m), -1e3, 1e3)     # clipped Cauchy
+
+
+class TestKernelFastPath:
+    """The box-wise fast Gauss transform against the dense tables.
+
+    Tolerances are fixed from double precision, not from observed errors:
+    relative 1e-12 on the value and 1e-10 on the gradient norm, and the
+    criterion-2 bounds (zero-sum gradient < 1e-10, shift < 1e-12).
+    """
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(m=st.integers(_FGT_MIN_M, 4000), h=st.floats(0.1, 2.0),
+           kind=st.sampled_from(["normal", "student_t", "cauchy"]),
+           seed=st.integers(0, 2**32 - 1), shift=st.floats(-8.0, 8.0))
+    @example(m=4000, h=0.1, kind="cauchy", seed=0, shift=7.5)
+    @example(m=_FGT_MIN_M, h=2.0, kind="normal", seed=1, shift=-8.0)
+    def test_agrees_with_dense(self, m, h, kind, seed, shift):
+        r = sample_residuals(kind, m, seed)
+        v_ref, g_ref = dense_kernel(r, h)
+        v, g = _kernel_fgt(r, h)
+        assert abs(v - v_ref) <= 1e-12 * abs(v_ref)
+        assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
+        assert abs(g.sum()) < 1e-10
+        v_shift, _ = _kernel_fgt(r + shift, h)
+        assert abs(v_shift - v) < 1e-12
+
+    def test_value_only_matches(self):
+        r = sample_residuals("student_t", 700, 3)
+        assert _kernel_fgt(r, 0.5, grad=False) == (_kernel_fgt(r, 0.5)[0], None)
+
+    def test_constant_residuals(self):
+        v, g = _kernel_fgt(np.full(_FGT_MIN_M, 3.7), 0.9)
+        assert abs(v) < 1e-14
+        assert np.abs(g).max() < 1e-14
+
+    def test_noise_sensitivity_pattern(self):
+        # Criterion 3's alternating pattern: the gradient norm falls with
+        # the spread while the two clusters lie within the reach; beyond it
+        # they no longer interact and the gradient is exactly zero, where
+        # the dense path gives exponentially small norms (1e-111 at 8h).
+        pattern = np.tile([-1.0, 1.0], _FGT_MIN_M)
+        norms = [np.linalg.norm(_kernel_fgt(s * pattern, 1.0)[1])
+                 for s in (1.0, 2.0, 2.5, 4.0, 8.0)]
+        assert norms[0] > norms[1] > norms[2] > 0.0
+        assert norms[3] == norms[4] == 0.0
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_residual(self, bad):
+        r = sample_residuals("normal", 600, 4)
+        r[17] = bad
+        v, g = _kernel_fgt(r, 0.5)
+        assert not math.isfinite(v)
+        assert not np.all(np.isfinite(g))
+        assert not math.isfinite(_kernel_fgt(r, 0.5, grad=False)[0])
+
+    @pytest.mark.parametrize("m", [40, 2 * _FGT_MIN_M])
+    def test_non_finite_measurement_ends_solve(self, m):
+        inst = make_instance(6, 2, m, (2, 1), NoiseModel.gaussian(0.1), seed=5)
+        b = inst.measurements.copy()
+        b[3] = math.inf
+        res = gradient_descent(replace(inst, measurements=b),
+                               LossSpec.kernel(0.5),
+                               SolverConfig(eta=0.01, max_iters=5,
+                                            init="ground_truth_perturbed"))
+        assert res.termination == "non_finite"
+        assert res.iterations_run == 0
+
+    @pytest.mark.parametrize("gap", [1e6, -1e6, -1e300])
+    def test_far_outlier(self, gap):
+        h = 0.5
+        r = sample_residuals("normal", 600, 6)
+        r_out = r.copy()
+        r_out[0] = (r.max() if gap > 0 else r.min()) + gap * h
+        v_ref, g_ref = dense_kernel(r_out, h)
+        v, g = _kernel_fgt(r_out, h)
+        assert abs(v - v_ref) <= 1e-12 * abs(v_ref)
+        assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
+
+        # Memory follows the occupied boxes, not the boxes the gap spans.
+        def peak(x):
+            tracemalloc.start()
+            try:
+                _kernel_fgt(x, h)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(r_out) < 1.5 * peak(r)
+
+    @pytest.mark.parametrize("m", [_FGT_MIN_M - 1, _FGT_MIN_M])
+    def test_path_selected_by_size(self, m):
+        r = sample_residuals("normal", m, 7)
+        want = _kernel_fgt(r, 0.8) if m >= _FGT_MIN_M else dense_kernel(r, 0.8)
+        spec = LossSpec.kernel(0.8)
+        v, g = loss_and_grad_residual(spec, r)
+        assert v == want[0] == loss_value(spec, r)
+        assert np.array_equal(g, want[1])
+        assert np.array_equal(grad_residual(spec, r), want[1])
+        assert np.array_equal(kernel_grad_residual(r, 0.8), want[1])
 
 
 class TestWeightedResidualMean:
