@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
-from .empirics import ConstantEstimates
-
 __all__ = [
     "PEAK_EPS",
     "PEAK_VAL",
@@ -90,13 +88,6 @@ class BoundInputs:
     @property
     def l1_eff(self) -> float:
         return self.l1 if self.l1 is not None else 2.0 * (1.0 + self.delta)
-
-    @classmethod
-    def from_estimates(cls, consts: ConstantEstimates, **overrides) -> "BoundInputs":
-        base = dict(zeta1=consts.zeta1, zeta2=consts.zeta2, g_min=consts.g_min,
-                    b_max=consts.b_max, l1=consts.l1, l2=consts.l2)
-        base.update(overrides)
-        return cls(**base)
 
 
 @dataclass(frozen=True)
@@ -361,17 +352,6 @@ def noise_sensitivity_orders(kind: str, eps: float, h: float, m: int) -> float:
 # Report
 # ---------------------------------------------------------------------------
 
-_REPORT_COLUMNS = [
-    "mse_error_upper", "kernel_lambda_min_floor", "kernel_error_upper",
-    "turning_point_eps_star", "turning_point_peak_eps", "turning_point_peak_val",
-    "lipschitz_lambda_kernel", "lipschitz_lambda_mse",
-    "delta_condition_explicit", "delta_condition_conservative",
-    "delta_condition_noise_aware", "high_delta_upper", "mse_high_delta_upper",
-    "lower_bound_mse", "lower_bound_kernel", "combined_bound",
-    "general_loss_bound", "noise_sensitivity_kernel", "noise_sensitivity_mse",
-]
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """All calculator outputs for one set of inputs.
@@ -397,17 +377,6 @@ class BoundReport:
             "flags": self.flags,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-    def csv_header(self) -> str:
-        return ",".join(_REPORT_COLUMNS)
-
-    def csv_row(self) -> str:
-        cells = []
-        for name in _REPORT_COLUMNS:
-            v = self.values.get(name)
-            cells.append(f"{v:.17g}" if isinstance(v, float) and math.isfinite(v)
-                         else "nan")
-        return ",".join(cells)
 
     def render_comparison(self) -> str:
         """Two-column comparison of the kernel and MSE rows."""

@@ -8,11 +8,13 @@
 # report sampled lower bounds, deterministic in the seed and monotone under
 # nested sample counts (sample i always draws from child seed (seed, i)).
 #
-# For the MSE the differentiated quantities follow the sum-normalized
-# square loss (gradient -2 A*(r), constant Hessian 2 A*A): that is the
-# normalization under which rho equals 2 ||A*A|| on the restricted set and
-# the gradient-vs-noise coupling is 2 A*(w).  Kernel and combined losses
-# use their exact gradients.
+# Every derivative comes from the residual-space core in losses: exact
+# gradients -A*(g) and Hessian forms <A(K), H A(L)> via hvp_residual.  The
+# noise enters only through the residuals, so the Hessian's noise
+# sensitivity is <A(K), (H(r + w1) - H(r + w2)) A(L)>.  The MSE follows
+# the sum-normalized square loss (gradient -2 A*(r), Hessian 2 A*A): rho
+# then equals 2 ||A*A|| on the restricted set, the gradient-vs-noise
+# coupling is 2 A*(w), and zeta2 = lambda2 = 0 exactly.
 
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SensingOperator, adjoint_op, apply_op, random_low_rank_symmetric
-from .losses import (MSE, LossSpec, grad_M, grad_X, hessian_quadratic_form,
-                     loss_value, residuals)
+from .losses import (MSE, LossSpec, grad_M, grad_X, hvp_residual,
+                     kernel_row_means, loss_value, residuals)
 
 __all__ = [
     "ConstantEstimates",
@@ -47,11 +49,11 @@ def _grad_for_constants(spec: LossSpec, op: SensingOperator, b, M) -> np.ndarray
     return grad_M(spec, op, b, M)
 
 
-def _hess_form(spec: LossSpec, op: SensingOperator, b, M, K, L) -> float:
-    """Bilinear Hessian form via polarization of the quadratic form."""
-    qp = hessian_quadratic_form(spec, op, b, M, K + L)
-    qm = hessian_quadratic_form(spec, op, b, M, K - L)
-    return 0.25 * (qp - qm)
+def _hess_gap(spec: LossSpec, op: SensingOperator, r1, r2, K, L) -> float:
+    """[Hess L(r1) - Hess L(r2)](K, L) = <A(K), (H(r1) - H(r2)) A(L)>."""
+    al = apply_op(op, L)
+    return float(apply_op(op, K) @ (hvp_residual(spec, r1, al)
+                                    - hvp_residual(spec, r2, al)))
 
 
 def _sample_noise_dir(rng, m: int, mag_range) -> np.ndarray:
@@ -70,6 +72,28 @@ def _sample_noise_dir(rng, m: int, mag_range) -> np.ndarray:
     return mag * v
 
 
+def _noise_samples(op: SensingOperator, b, M_base, samples: int, seed: int,
+                   mag_range, scale: float, rank: int, dirs: int):
+    """(M, directions, w, ||w||) per sample of the zeta estimators; samples
+    with ||w|| below the guard are skipped."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if mag_range is None:
+        mag_range = (1e-3, max(float(np.linalg.norm(b)), 1e-3))
+    M_base = np.asarray(M_base, dtype=float)
+    k = max(1, min(op.n, rank))
+    for i in range(samples):
+        rng = np.random.default_rng([seed, i])
+        M = M_base + scale * rng.uniform(0.0, 1.0) * \
+            random_low_rank_symmetric(op.n, k, rng)
+        directions = [random_low_rank_symmetric(op.n, k, rng)
+                      for _ in range(dirs)]
+        w = _sample_noise_dir(rng, op.m, mag_range)
+        nw = np.linalg.norm(w)
+        if nw >= _GUARD:
+            yield M, directions, w, nw
+
+
 def estimate_zeta1(spec: LossSpec, op: SensingOperator, b, M_base,
                    samples: int, seed: int, mag_range=None,
                    scale: float = 1.0, rank: int = 2) -> float:
@@ -80,22 +104,9 @@ def estimate_zeta1(spec: LossSpec, op: SensingOperator, b, M_base,
     low-rank directions.  Samples with ||w|| below the guard are skipped;
     if everything is skipped the estimate is 0.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if mag_range is None:
-        mag_range = (1e-3, max(float(np.linalg.norm(b)), 1e-3))
-    M_base = np.asarray(M_base, dtype=float)
     best = 0.0
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        k = max(1, min(op.n, rank))
-        M = M_base + scale * rng.uniform(0.0, 1.0) * \
-            random_low_rank_symmetric(op.n, k, rng)
-        K = random_low_rank_symmetric(op.n, k, rng)
-        w = _sample_noise_dir(rng, op.m, mag_range)
-        nw = np.linalg.norm(w)
-        if nw < _GUARD:
-            continue
+    for M, (K,), w, nw in _noise_samples(op, b, M_base, samples, seed,
+                                         mag_range, scale, rank, 1):
         diff = _grad_for_constants(spec, op, np.asarray(b) + w, M) \
             - _grad_for_constants(spec, op, b, M)
         best = max(best, abs(float(np.sum(diff * K))) / nw)
@@ -105,32 +116,15 @@ def estimate_zeta1(spec: LossSpec, op: SensingOperator, b, M_base,
 def estimate_zeta2(spec: LossSpec, op: SensingOperator, b, M_base,
                    samples: int, seed: int, mag_range=None,
                    scale: float = 1.0, rank: int = 2) -> float:
-    """Sampled sup of |[Hess(M, w) - Hess(M, 0)](K, L)| / ||w||.
-
-    Bilinear forms come from polarized quadratic forms.  For the MSE the
-    Hessian is 2 A*A independent of the measurements, so the difference is
-    exactly zero.
+    """Sampled sup of |[Hess(M, w) - Hess(M, 0)](K, L)| / ||w||, sampled as
+    in estimate_zeta1.  For the MSE the Hessian is 2 A*A independent of the
+    measurements, so the difference is exactly zero.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if mag_range is None:
-        mag_range = (1e-3, max(float(np.linalg.norm(b)), 1e-3))
-    M_base = np.asarray(M_base, dtype=float)
     best = 0.0
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        k = max(1, min(op.n, rank))
-        M = M_base + scale * rng.uniform(0.0, 1.0) * \
-            random_low_rank_symmetric(op.n, k, rng)
-        K = random_low_rank_symmetric(op.n, k, rng)
-        L = random_low_rank_symmetric(op.n, k, rng)
-        w = _sample_noise_dir(rng, op.m, mag_range)
-        nw = np.linalg.norm(w)
-        if nw < _GUARD:
-            continue
-        dh = _hess_form(spec, op, np.asarray(b) + w, M, K, L) \
-            - _hess_form(spec, op, b, M, K, L)
-        best = max(best, abs(dh) / nw)
+    for M, (K, L), w, nw in _noise_samples(op, b, M_base, samples, seed,
+                                           mag_range, scale, rank, 2):
+        r = np.asarray(b) - apply_op(op, M)
+        best = max(best, abs(_hess_gap(spec, op, r + w, r, K, L)) / nw)
     return best
 
 
@@ -184,6 +178,7 @@ def estimate_lambda12(spec: LossSpec, op: SensingOperator, b, M,
     if mag_range is None:
         mag_range = (1e-3, max(float(np.linalg.norm(b)), 1e-3))
     M = np.asarray(M, dtype=float)
+    r = np.asarray(b) - apply_op(op, M)
     lam1 = 0.0
     lam2 = 0.0
     for i in range(samples):
@@ -201,24 +196,20 @@ def estimate_lambda12(spec: LossSpec, op: SensingOperator, b, M,
         k = max(1, min(op.n, rank))
         K = random_low_rank_symmetric(op.n, k, rng)
         L = random_low_rank_symmetric(op.n, k, rng)
-        dh = _hess_form(spec, op, b1, M, K, L) - _hess_form(spec, op, b2, M, K, L)
-        lam2 = max(lam2, abs(dh) / dw)
+        lam2 = max(lam2, abs(_hess_gap(spec, op, r + w1, r + w2, K, L)) / dw)
     return lam1, lam2
 
 
 def residual_constants(r: np.ndarray, h: float) -> tuple:
     """(G_min, B): minimum kernel row average and residual diameter.
 
-    B = max_{i,j} |r_j - r_i| and G_i = (1/m) sum_j exp(-(r_j-r_i)^2/h^2);
-    termwise bounds give exp(-B^2/h^2) <= G_min <= 1.
+    B = max_{i,j} |r_j - r_i| and G_i = (1/m) sum_j exp(-(r_j-r_i)^2/h^2)
+    (losses.kernel_row_means); termwise bounds give
+    exp(-B^2/h^2) <= G_min <= 1.
     """
-    if h <= 0:
-        raise ValueError("h must be > 0")
     r = np.asarray(r, dtype=float)
-    b_max = float(r.max() - r.min())
-    d = r[None, :] - r[:, None]
-    g = np.exp(-(d * d) / (h * h)).mean(axis=1)
-    return float(g.min()), b_max
+    g = kernel_row_means(r, h)
+    return float(g.min()), float(r.max() - r.min())
 
 
 @dataclass(frozen=True)

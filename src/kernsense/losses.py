@@ -10,39 +10,36 @@
 # is translation invariant (r -> r + c leaves it unchanged) and vanishes
 # iff all residuals are equal.
 #
-# Gradients are exact derivatives of the implemented values and are
-# validated against central finite differences; transcription quirks of
-# published closed forms are deliberately not trusted.
+# Each loss is defined once, in residual space, by its value, gradient g
+# and Hessian-vector product H v (hvp_residual, which also states the MSE
+# curvature convention H = 2I).  r = b - A(M) is affine in M, so matrix
+# space composes with A and its adjoint A*: gradient -A*(g), Hessian
+# A*(H A(K)), quadratic form <A(K), H A(K)>.  All derivatives are exact
+# (the kernel HVP is the forward-mode derivative of its gradient, cf.
+# Pearlmutter 1994); finite differences live only in the gradient oracle
+# empirics.finite_diff_check and in the tests.
 #
-# The kernel term has two evaluation paths, chosen by the residual count m
-# alone.  Below _FGT_MIN_M residuals, dense m x m tables of pairwise
-# differences and weights (O(m^2) time and memory) are the faster path, and
-# they are the reference the tests hold the other path to.  From
-# _FGT_MIN_M on, a box-wise fast Gauss transform (_kernel_fgt; Greengard &
-# Strain 1991) evaluates the same sums in O(m p): boxes of width h/2,
-# p = _FGT_TERMS = 24 Taylor terms per expansion, and pairs more than
-# _FGT_REACH = 6 bandwidths apart dropped (each such weight is below
-# exp(-36) = 2.3e-16).  The threshold is the measured crossover: on a
-# 2-vCPU Xeon the fast path wins from m = 300 on normal and student-t
-# residuals at h = 0.5 and 1 (about 0.5 ms per value and gradient), and at
-# m = 4000 it takes ~2 ms where the dense path takes ~200 ms and 256 MB.
-# Its accuracy contract, enforced by property tests against the dense
-# path: relative error <= 1e-12 on the value and <= 1e-10 on the gradient
-# norm, |sum(g)| < 1e-10, and translation invariance to 1e-12.  The exact
+# The kernel algebra is written once over the weighted Gauss sums
+# S_k[q]_i = sum_j q_j E_ij d_ij^k, with d_ij = r_j - r_i,
+# E_ij = exp(-d_ij^2 / h^2) and k = 0, 1, 2.  Two providers evaluate them,
+# chosen by the residual count m alone.  Below _FGT_MIN_M residuals, dense
+# m x m tables (O(m^2) time and memory) are faster, and they are the
+# reference the tests hold the other path to.  From _FGT_MIN_M on, a
+# box-wise fast Gauss transform (_fgt_sums; Greengard & Strain 1991) gives
+# the same sums in O(m p): boxes h/2 wide, p = _FGT_TERMS = 24 Taylor terms
+# per expansion, pairs more than _FGT_REACH = 6 bandwidths apart dropped
+# (each such weight is below exp(-36) = 2.3e-16).  The threshold is the
+# measured crossover on a 2-vCPU Xeon; at m = 4000 the fast path takes ~2 ms
+# per value and gradient, the dense one ~200 ms and 256 MB.  Property tests
+# hold it to the dense path: relative error <= 1e-12 on the value, <= 1e-10
+# on the gradient and HVP norms, zero-sum gradient and HVP.  The exact
 # zeros at constant residuals and the exponentially small gradients of
 # widely spread, nearly flat residuals (criterion 3 checks norms down to
-# 1e-111) are dense-path properties.  On the fast path the sums carry
-# rounding noise of ~1e-16 relative to their largest terms, and clusters
-# farther apart than the reach do not interact at all: criterion 3's
-# pattern at spread 4h and 8h gives a gradient of exactly zero.
-#
-# One convention wart, kept on purpose: curvature-style quantities for the
-# MSE (hessian_quadratic_form, the analytic Hessian-vector product, and the
-# constant estimators built on them) use the sum-normalized square loss
-# sum(r_i^2), whose Hessian is 2 A*A.  That is the normalization under
-# which the standard landscape facts hold (smallest eigenvalue 2(1-delta),
-# gradient-Lipschitz constant 2(1+delta)) and it is independent of
-# mse_norm.
+# 1e-111) are dense-path properties, since every sum there is over pairwise
+# differences.  On the fast path the sums carry rounding noise of ~1e-16
+# relative to their largest terms, and clusters farther apart than the
+# reach do not interact: criterion 3's pattern at spread 4h and 8h gives a
+# gradient of exactly zero.
 
 from __future__ import annotations
 
@@ -61,9 +58,11 @@ __all__ = [
     "residuals",
     "loss_value",
     "kernel_grad_residual",
+    "kernel_row_means",
     "weighted_residual_mean",
     "grad_residual",
     "loss_and_grad_residual",
+    "hvp_residual",
     "grad_M", "grad_X", "grad_w",
     "hessian_quadratic_form",
     "hessian_vector_product",
@@ -75,9 +74,7 @@ MSE = "mse"
 KERNEL = "kernel"
 COMBINED = "combined"
 
-_EPS = np.finfo(float).eps
-
-# Fast kernel path (see _kernel_fgt): residual count from which it replaces
+# Fast kernel path (see _fgt_sums): residual count from which it replaces
 # the dense tables, pairs dropped beyond _FGT_REACH * h, and Taylor terms
 # per box expansion.
 _FGT_MIN_M = 300
@@ -140,48 +137,48 @@ def residuals(op: SensingOperator, b: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Values and residual-space gradients
+# Kernel Gauss sums and the kernel derivatives built on them
 # ---------------------------------------------------------------------------
 
-def _kernel_tables(r: np.ndarray, h: float):
-    """Pairwise differences d_ij = r_j - r_i, weights E_ij = exp(-d_ij^2/h^2),
-    and row means Z_i: the small-m path and the fast path's reference.
-    In-place where possible, since the m x m buffers dominate its cost."""
-    d = np.subtract(r[None, :], r[:, None])
-    e = np.square(d)
-    e *= -1.0 / (h * h)
-    np.exp(e, out=e)
-    z = e.mean(axis=1)                   # z_i >= 1/m since E_ii = 1
-    return d, e, z
+def _dense_sums(r: np.ndarray, h: float):
+    """sums(q, ks) -> [S_k[q] for k in ks] (q = None: unit weights) from
+    dense m x m tables of E d^k, each built on first use: the small-m path
+    and the fast path's reference.  Gaps beyond ~1e154 overflow d^2 to inf,
+    so E = 0, and non-finite residuals give NaN; the values are right, so
+    the warnings are silenced.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.subtract(r[None, :], r[:, None])
+        e = np.square(d)
+        e *= -1.0 / (h * h)
+        np.exp(e, out=e)
+    tables = [e]
 
+    def sums(q, ks):
+        while len(tables) <= max(ks):           # E d^2 reuses the buffer of d
+            with np.errstate(over="ignore", invalid="ignore"):
+                tables.append(np.multiply(tables[-1], d,
+                                          out=d if len(tables) == 2 else None))
+        return [tables[k].sum(axis=1) if q is None else tables[k] @ q
+                for k in ks]
 
-def _kernel_grad(r: np.ndarray, h: float, tables=None) -> np.ndarray:
-    # Weighted sums of pairwise *differences*, never of raw residuals:
-    # equal residuals contribute exact zeros, so nearly-flat configurations
-    # (spread far beyond h) keep their exponentially small gradients instead
-    # of drowning in cancellation noise.  Consumes the weight table in
-    # place; callers passing tables must not reuse them afterwards.
-    m = r.size
-    d, e, z = tables if tables is not None else _kernel_tables(r, h)
-    wd = e
-    wd /= z[:, None]                     # W_ij = E_ij / Z_i
-    wd *= d                              # W_ij * (r_j - r_i)
-    scale = 2.0 / (m * m * h * h)
-    return scale * (wd.sum(axis=0) - wd.sum(axis=1))
+    return sums
 
 
 @functools.cache
 def _fgt_translations() -> np.ndarray:
-    """Translation matrices of the fast kernel path, one per box offset k.
+    """Translation matrices of the fast Gauss sums, one per box offset k.
 
     For boxes of width h/2, a source at box-centred offset s (in box
     widths) and a target at offset t in a box k boxes away lie
-    y = (k + s - t)/2 bandwidths apart.  exp(-y^2) and y exp(-y^2) are
-    expanded in u = s - t around y0 = k/2 with the Hermite recursion
-    c_(n+1) = -(y0 c_n + c_(n-1)/2)/(n+1), and (s - t)^n binomially, up to
-    total degree p - 1 (p = _FGT_TERMS).  Row (k + _FGT_REACH_BOXES) p + a
-    holds the coefficients of s^a t^b, for exp(-y^2) in column b and for
-    y exp(-y^2) in column p + b.  Built on first use, not at import.
+    y = (k + s - t)/2 bandwidths apart.  exp(-y^2) is expanded in u = s - t
+    around y0 = k/2 with the Hermite recursion
+    c_(n+1) = -(y0 c_n + c_(n-1)/2)/(n+1); each multiplication by
+    y = y0 + u/2 maps coefficients a_n to y0 a_n + a_(n-1)/2 (once for
+    y exp(-y^2), twice for y^2 exp(-y^2)).  (s - t)^n is expanded
+    binomially, up to total degree p - 1 (p = _FGT_TERMS).  Row
+    (k + _FGT_REACH_BOXES) p + a holds the coefficients of s^a t^b, for
+    y^j exp(-y^2) in column j p + b.  Built on first use, not at import.
     """
     p = _FGT_TERMS
     y0 = 0.5 * np.arange(-_FGT_REACH_BOXES, _FGT_REACH_BOXES + 1)
@@ -189,21 +186,25 @@ def _fgt_translations() -> np.ndarray:
     c[:, 1] = np.exp(-y0 * y0)
     for n in range(p - 1):
         c[:, n + 2] = -(y0 * c[:, n + 1] + 0.5 * c[:, n]) / (n + 1)
-    d = y0[:, None] * c[:, 1:] + 0.5 * c[:, :-1]   # coefficients of y exp(-y^2)
+    blocks = [c]
+    for _ in range(2):
+        a = blocks[-1]
+        blocks.append(np.zeros_like(c))
+        blocks[-1][:, 1:] = y0[:, None] * a[:, 1:] + 0.5 * a[:, :-1]
     a, b = np.indices((p, p))
     deg = np.minimum(a + b, p - 1)
     pascal = np.array([[math.comb(i + j, i) if i + j < p else 0
                         for j in range(p)] for i in range(p)], dtype=float)
     mix = pascal * (-1.0) ** b
-    tr = np.concatenate([c[:, 1:][:, deg] * mix, d[:, deg] * mix], axis=2)
-    tr = tr.reshape(-1, 2 * p)
+    tr = np.concatenate([blk[:, 1:][:, deg] * mix for blk in blocks], axis=2)
+    tr = tr.reshape(-1, 3 * p)
     tr.flags.writeable = False           # shared by every caller
     return tr
 
 
-def _kernel_fgt(r: np.ndarray, h: float, grad: bool = True):
-    """Kernel value and (if grad) residual gradient in O(m), by a box-wise
-    fast Gauss transform; the dense tables above are its reference.
+def _fgt_sums(r: np.ndarray, h: float):
+    """Gauss sums S_0, S_1, S_2 in O(m) by a box-wise fast Gauss transform,
+    with the interface of _dense_sums (its reference).
 
     Sorted residuals are cut into clusters wherever a gap exceeds the
     reach, and each cluster into boxes of width h/2 anchored at its own
@@ -212,13 +213,11 @@ def _kernel_fgt(r: np.ndarray, h: float, grad: bool = True):
     sum_j q_j s_j^a of the box-centred offsets s_j (in box widths) are
     carried to every box within the reach by the matrices of
     _fgt_translations, which depend on the box offset alone, and evaluated
-    at the targets' own offsets.  One transform with weights q = 1 gives
-    m z_i and the row sums of E_ij (r_j - r_i); a second with q = 1/z gives
-    the column sums.  Non-finite residuals give a NaN value and gradient.
+    at the targets' own offsets.  Non-finite residuals give NaN sums.
     """
     m = r.size
     if not np.all(np.isfinite(r)):
-        return math.nan, (np.full(m, math.nan) if grad else None)
+        return lambda q, ks: np.full((len(ks), m), math.nan)
     p, reach = _FGT_TERMS, _FGT_REACH_BOXES
     tr = _fgt_translations()
     order = np.argsort(r)
@@ -245,35 +244,73 @@ def _kernel_fgt(r: np.ndarray, h: float, grad: bool = True):
     powers = np.vander(s, p, increasing=True)
     moments = np.zeros((occupied.size + 1, p))
 
-    def transform(q):
-        """sum_j q_j E_ij and sum_j q_j E_ij (r_j - r_i), in sorted order."""
-        moments[:-1] = np.add.reduceat(
-            powers if q is None else q[:, None] * powers, starts, axis=0)
-        local = (moments[near].reshape(occupied.size, -1) @ tr)[of_point]
-        return (np.einsum("ij,ij->i", powers, local[:, :p]),
-                h * np.einsum("ij,ij->i", powers, local[:, p:]))
+    def sums(q, ks):
+        weighted = powers if q is None else q[order, None] * powers
+        moments[:-1] = np.add.reduceat(weighted, starts, axis=0)
+        # One product for the column blocks ks[0] .. ks[-1] (ks ascending).
+        lo, hi = ks[0], ks[-1] + 1
+        local = (moments[near].reshape(occupied.size, -1)
+                 @ tr[:, lo * p:hi * p])[of_point].reshape(m, hi - lo, p)
+        out = np.empty((len(ks), m))
+        # d^k = (h y)^k, and the translations hold the coefficients in y.
+        rows = np.einsum("jb,jkb->kj", powers, local)
+        out[:, order] = rows[np.subtract(ks, lo)]
+        out *= np.power(h, ks)[:, None]
+        return out
 
-    e_sum, row = transform(None)
-    z = e_sum / m
+    return sums
+
+
+def _gauss_sums(r: np.ndarray, h: float):
+    """Dense sums below _FGT_MIN_M residuals, the fast transform from there."""
+    return (_fgt_sums if r.size >= _FGT_MIN_M else _dense_sums)(r, h)
+
+
+def _kernel(r: np.ndarray, h: float, grad: bool, provider=_gauss_sums):
+    """Kernel value and, if grad, residual gradient g = -c (S_1[q] + q S_1[1])
+    with z = S_0[1]/m, q = 1/z and c = 2/(m^2 h^2)."""
+    m = r.size
+    sums = provider(r, h)
+    s0, *s1 = sums(None, (0, 1) if grad else (0,))
+    z = s0 / m                            # z_i >= 1/m since E_ii = 1
     value = float(-np.log(z).mean())
     if not grad:
         return value, None
     q = 1.0 / z
-    _, col = transform(q)
-    g = np.empty(m)
-    g[order] = (-2.0 / (m * m * h * h)) * (col + row * q)
-    return value, g
+    return value, (-2.0 / (m * m * h * h)) * (sums(q, (1,))[0] + q * s1[0])
 
 
-def _kernel(r: np.ndarray, h: float, grad: bool):
-    """Kernel value and, if grad, residual gradient: the dense tables below
-    _FGT_MIN_M residuals, the fast Gauss transform from there on."""
-    if r.size >= _FGT_MIN_M:
-        return _kernel_fgt(r, h, grad)
-    tables = _kernel_tables(r, h)
-    value = float(-np.log(tables[2]).mean())
-    return value, (_kernel_grad(r, h, tables=tables) if grad else None)
+def _kernel_hessian(r: np.ndarray, h: float, provider=_gauss_sums):
+    """v -> H v for the kernel loss at r, the derivative of _kernel's
+    gradient along v.  With d'_ij = v_j - v_i, E'_ij = -(2/h^2) d_ij d'_ij E_ij:
+      z'       = -(2/(m h^2)) (S_1[v] - v S_1[1]),   q' = -q^2 z'
+      S_1[1]'  = S_0[v] - v S_0[1] - (2/h^2) (S_2[v] - v S_2[1])
+      S_1[q]'  = S_1[q'] + S_0[qv] - v S_0[q] - (2/h^2) (S_2[qv] - v S_2[q])
+      H v      = -c (S_1[q]' + q' S_1[1] + q S_1[1]')
+    Sums with weights 1 and q are formed once per r; each product then
+    needs weights v, qv and q' (q' after S_1[v]).
+    """
+    m = r.size
+    sums = provider(r, h)
+    one = sums(None, (0, 1, 2))
+    q = m / one[0]
+    sq0, sq2 = sums(q, (0, 2))
+    c, k = 2.0 / (m * m * h * h), 2.0 / (h * h)
 
+    def hvp(v):
+        sv = sums(v, (0, 1, 2))
+        qdot = (q * q) * (k / m) * (sv[1] - v * one[1])
+        sqv0, sqv2 = sums(q * v, (0, 2))
+        d_one = sv[0] - v * one[0] - k * (sv[2] - v * one[2])
+        d_q = sums(qdot, (1,))[0] + sqv0 - v * sq0 - k * (sqv2 - v * sq2)
+        return -c * (d_q + qdot * one[1] + q * d_one)
+
+    return hvp
+
+
+# ---------------------------------------------------------------------------
+# Residual-space values, gradients and Hessian-vector products
+# ---------------------------------------------------------------------------
 
 def _mse_value(r: np.ndarray, mse_norm: str) -> float:
     s = float(r @ r)
@@ -284,16 +321,23 @@ def _mse_grad(r: np.ndarray, mse_norm: str) -> np.ndarray:
     return r.copy() if mse_norm == "half_sum" else (2.0 / r.size) * r
 
 
-def loss_value(spec: LossSpec, r: np.ndarray) -> float:
-    """Loss evaluated on a residual vector."""
+def _value_and_grad(spec: LossSpec, r: np.ndarray, grad: bool):
+    """Loss value and, if grad, residual gradient (else None)."""
     r = np.asarray(r, dtype=float)
     if spec.kind == MSE:
-        return _mse_value(r, spec.mse_norm)
-    kv, _ = _kernel(r, spec.h, grad=False)
+        return (_mse_value(r, spec.mse_norm),
+                _mse_grad(r, spec.mse_norm) if grad else None)
+    kv, kg = _kernel(r, spec.h, grad)
     if spec.kind == KERNEL:
-        return kv
+        return kv, kg
     lam = spec.lambda_mix
-    return lam * _mse_value(r, "mean") + (1.0 - lam) * kv
+    return (lam * _mse_value(r, "mean") + (1.0 - lam) * kv,
+            lam * _mse_grad(r, "mean") + (1.0 - lam) * kg if grad else None)
+
+
+def loss_value(spec: LossSpec, r: np.ndarray) -> float:
+    """Loss evaluated on a residual vector."""
+    return _value_and_grad(spec, r, grad=False)[0]
 
 
 def kernel_grad_residual(r: np.ndarray, h: float) -> np.ndarray:
@@ -303,9 +347,15 @@ def kernel_grad_residual(r: np.ndarray, h: float) -> np.ndarray:
     differences (exactly up to rounding on the dense path, to the fast
     path's accuracy contract above _FGT_MIN_M residuals).
     """
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError("h must be finite and > 0")
-    return _kernel(np.asarray(r, dtype=float), h, grad=True)[1]
+    return grad_residual(LossSpec.kernel(h), r)
+
+
+def kernel_row_means(r: np.ndarray, h: float) -> np.ndarray:
+    """z_i = (1/m) sum_j exp(-(r_j - r_i)^2 / h^2), the kernel density
+    estimate at each residual (O(m) from _FGT_MIN_M residuals on)."""
+    h = LossSpec.kernel(h).h              # rejects h <= 0 and non-finite h
+    r = np.asarray(r, dtype=float)
+    return _gauss_sums(r, h)(None, (0,))[0] / r.size
 
 
 def weighted_residual_mean(r: np.ndarray, h: float, i: int) -> float:
@@ -323,27 +373,12 @@ def weighted_residual_mean(r: np.ndarray, h: float, i: int) -> float:
 
 def grad_residual(spec: LossSpec, r: np.ndarray) -> np.ndarray:
     """dL/dr for the chosen loss."""
-    r = np.asarray(r, dtype=float)
-    if spec.kind == MSE:
-        return _mse_grad(r, spec.mse_norm)
-    _, kg = _kernel(r, spec.h, grad=True)
-    if spec.kind == KERNEL:
-        return kg
-    lam = spec.lambda_mix
-    return lam * _mse_grad(r, "mean") + (1.0 - lam) * kg
+    return _value_and_grad(spec, r, grad=True)[1]
 
 
 def loss_and_grad_residual(spec: LossSpec, r: np.ndarray):
     """Value and residual gradient from one kernel evaluation (hot path)."""
-    r = np.asarray(r, dtype=float)
-    if spec.kind == MSE:
-        return _mse_value(r, spec.mse_norm), _mse_grad(r, spec.mse_norm)
-    kv, kg = _kernel(r, spec.h, grad=True)
-    if spec.kind == KERNEL:
-        return kv, kg
-    lam = spec.lambda_mix
-    return (lam * _mse_value(r, "mean") + (1.0 - lam) * kv,
-            lam * _mse_grad(r, "mean") + (1.0 - lam) * kg)
+    return _value_and_grad(spec, r, grad=True)
 
 
 def grad_w(spec: LossSpec, r: np.ndarray) -> np.ndarray:
@@ -353,6 +388,34 @@ def grad_w(spec: LossSpec, r: np.ndarray) -> np.ndarray:
     dL/dr_i, so this is grad_residual evaluated at r.
     """
     return grad_residual(spec, r)
+
+
+def _residual_hessian(spec: LossSpec, r: np.ndarray):
+    """v -> H v at r (see hvp_residual), v-independent sums formed once."""
+    if spec.kind == MSE:
+        return lambda v: 2.0 * v
+    kernel = _kernel_hessian(r, spec.h)
+    if spec.kind == KERNEL:
+        return kernel
+    lam = spec.lambda_mix
+    return lambda v: (2.0 * lam / r.size) * v + (1.0 - lam) * kernel(v)
+
+
+def hvp_residual(spec: LossSpec, r: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Residual-space Hessian-vector product H v at r.
+
+    Kernel and combined (lam (2/m) I + (1 - lam) H_kernel): the exact
+    directional derivative of grad_residual along v.  MSE: H = 2I for
+    either mse_norm, the sum-normalized square loss sum(r_i^2), under which
+    the landscape facts hold (smallest Hessian eigenvalue 2(1 - delta),
+    gradient-Lipschitz constant 2(1 + delta)); every MSE curvature quantity
+    inherits this convention.
+    """
+    r = np.asarray(r, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if v.shape != r.shape:
+        raise ValueError(f"v must have shape {r.shape}, got {v.shape}")
+    return _residual_hessian(spec, r)(v)
 
 
 # ---------------------------------------------------------------------------
@@ -379,51 +442,26 @@ def grad_X(spec: LossSpec, op: SensingOperator, b: np.ndarray,
     return 2.0 * grad_M(spec, op, b, 0.5 * (M + M.T)) @ X
 
 
-def _loss_at(spec: LossSpec, op: SensingOperator, b, M) -> float:
-    return loss_value(spec, np.asarray(b) - apply_op(op, M))
+def _curvature(spec: LossSpec, op: SensingOperator, b, M, K):
+    """A(K) and H A(K), H the residual-space Hessian at r = b - A(M)."""
+    K = np.asarray(K, dtype=float)
+    if not np.linalg.norm(K) > 0:
+        raise ValueError("K must be nonzero")
+    ak = apply_op(op, K)
+    return ak, hvp_residual(spec, np.asarray(b) - apply_op(op, M), ak)
 
 
 def hessian_quadratic_form(spec: LossSpec, op: SensingOperator, b: np.ndarray,
                            M: np.ndarray, K: np.ndarray) -> float:
-    """<K, Hess L(M)[K]> along a symmetric direction K.
-
-    MSE: analytic, 2 ||A(K)||^2 (sum normalization; independent of M and of
-    the measurements).  Kernel/combined: second-order central difference of
-    the loss along M + tK with step eps^(1/4) * (1 + ||M||_F) / ||K||_F.
-    """
-    K = np.asarray(K, dtype=float)
-    nk = np.linalg.norm(K)
-    if nk <= 0:
-        raise ValueError("K must be nonzero")
-    if spec.kind == MSE:
-        ak = apply_op(op, K)
-        return 2.0 * float(ak @ ak)
-    M = np.asarray(M, dtype=float)
-    t = _EPS ** 0.25 * (1.0 + np.linalg.norm(M)) / nk
-    lp = _loss_at(spec, op, b, M + t * K)
-    l0 = _loss_at(spec, op, b, M)
-    lm = _loss_at(spec, op, b, M - t * K)
-    return (lp - 2.0 * l0 + lm) / (t * t)
+    """<K, Hess L(M)[K]> = <A(K), H A(K)> along a symmetric direction K."""
+    ak, hak = _curvature(spec, op, b, M, K)
+    return float(ak @ hak)
 
 
 def hessian_vector_product(spec: LossSpec, op: SensingOperator, b: np.ndarray,
                            M: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Hess L(M)[K] for symmetric K.
-
-    MSE: analytic 2 A*(A(K)).  Otherwise a central difference of grad_M
-    with step eps^(1/3) * (1 + ||M||_F) / ||K||_F.
-    """
-    K = np.asarray(K, dtype=float)
-    nk = np.linalg.norm(K)
-    if nk <= 0:
-        raise ValueError("K must be nonzero")
-    if spec.kind == MSE:
-        return 2.0 * adjoint_op(op, apply_op(op, K))
-    M = np.asarray(M, dtype=float)
-    t = _EPS ** (1.0 / 3.0) * (1.0 + np.linalg.norm(M)) / nk
-    gp = grad_M(spec, op, b, M + t * K)
-    gm = grad_M(spec, op, b, M - t * K)
-    return (gp - gm) / (2.0 * t)
+    """Hess L(M)[K] = A*(H A(K)) for symmetric K."""
+    return adjoint_op(op, _curvature(spec, op, b, M, K)[1])
 
 
 class LambdaMinResult(NamedTuple):
@@ -437,11 +475,11 @@ def lambda_min_hessian(spec: LossSpec, op: SensingOperator, b: np.ndarray,
                        seed: int = 0) -> LambdaMinResult:
     """Smallest Hessian eigenvalue over symmetric directions.
 
-    Two power-iteration sweeps on Hessian-vector products: one for the top
-    eigenvalue, then one on the shifted operator s*I - H whose top
-    eigenvalue is s - lambda_min.  Converged when successive Rayleigh
-    quotients differ by less than 1e-8; otherwise the best estimate is
-    returned with converged=False.
+    Two power-iteration sweeps on Hessian-vector products A*(H A(v)), with
+    H formed once at r = b - A(M): one for the top eigenvalue, then one on
+    the shifted operator s*I - H whose top eigenvalue is s - lambda_min.
+    Converged when successive Rayleigh quotients differ by less than 1e-8;
+    otherwise the best estimate is returned with converged=False.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -453,8 +491,10 @@ def lambda_min_hessian(spec: LossSpec, op: SensingOperator, b: np.ndarray,
         v = 0.5 * (v + v.T)
         return v / np.linalg.norm(v)
 
+    hess = _residual_hessian(spec, np.asarray(b) - apply_op(op, M))
+
     def hvp(v):
-        return hessian_vector_product(spec, op, b, M, v)
+        return adjoint_op(op, hess(apply_op(op, v)))
 
     def top_eig(mv, v0):
         v, lam = v0, 0.0

@@ -49,7 +49,7 @@ class ConvergenceBoundInputs:
     the minimizer of the loss at the realized noise; it has no closed form
     for the kernel loss and is in practice approximated from a long
     high-precision solve (or from the spectral surrogate before solving).
-    sigma_r_Mw and d_r describe the spectrum of that same approximation.
+    sigma_r_Mw is the r-th singular value of that same approximation.
     """
 
     rho: float
@@ -60,10 +60,9 @@ class ConvergenceBoundInputs:
     h: float = 1.0
     norm_Mw: float = 0.0
     sigma_r_Mw: float = 0.0
-    d_r: float = 0.0
 
     def __post_init__(self):
-        for name in ("rho", "rank", "zeta2", "eps", "norm_Mw", "sigma_r_Mw", "d_r"):
+        for name in ("rho", "rank", "zeta2", "eps", "norm_Mw", "sigma_r_Mw"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.rho == 0 or self.rank == 0:

@@ -328,14 +328,12 @@ class TestReport:
         assert "mse_error_upper" in rep.errors
         assert "lower_bound_mse" in rep.errors
 
-    def test_json_and_csv(self):
+    def test_json(self):
         bi = BoundInputs(delta=0.2, eps=0.5, h=1.0, lambda_min=1.5,
                          b_max=1.0, l_smooth=5.0)
         rep = compute_report(bi)
         doc = json.loads(rep.to_json())
         assert doc["inputs"]["delta"] == 0.2
-        row = rep.csv_row()
-        assert len(row.split(",")) == len(rep.csv_header().split(","))
 
     def test_turning_point_delegation(self):
         rep = compute_report(BoundInputs(delta=0.2, eps=0.5, h=0.3,

@@ -135,6 +135,11 @@ class TestResidualConstants:
             g_min, b_max = residual_constants(r, h)
             assert math.exp(-b_max ** 2 / h ** 2) - 1e-12 <= g_min <= 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_bad_bandwidth(self, bad):
+        with pytest.raises(ValueError):
+            residual_constants(np.zeros(3), bad)
+
 
 class TestFiniteDiffCheck:
     def test_passes_for_all_losses(self, inst):

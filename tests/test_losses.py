@@ -7,15 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernsense.losses import (_FGT_MIN_M, LossSpec, _kernel_fgt, _kernel_grad,
-                              _kernel_tables, grad_M, grad_residual, grad_w,
-                              grad_X, hessian_quadratic_form,
-                              hessian_vector_product, kernel_grad_residual,
+from kernsense.empirics import _hess_gap
+from kernsense.losses import (_FGT_MIN_M, LossSpec, _dense_sums, _fgt_sums,
+                              _kernel, _kernel_hessian, grad_M, grad_residual,
+                              grad_w, grad_X, hessian_quadratic_form,
+                              hessian_vector_product, hvp_residual,
+                              kernel_grad_residual, kernel_row_means,
                               lambda_min_hessian, loss_and_grad_residual,
                               loss_value, residuals, weighted_residual_mean)
 from kernsense.model import (NoiseModel, adjoint_op, apply_op, estimate_rip,
                              gen_gaussian_operator, make_instance,
-                             orthonormal_basis_operator)
+                             orthonormal_basis_operator,
+                             random_low_rank_symmetric)
 from kernsense.optimize import SolverConfig, gradient_descent
 
 # Frozen by direct scalar evaluation of the pairwise log-sum-exp with m=2,
@@ -157,8 +160,12 @@ class TestKernelGradResidual:
 
 def dense_kernel(r, h):
     """Value and gradient from the dense pairwise tables (the reference)."""
-    tables = _kernel_tables(r, h)
-    return float(-np.log(tables[2]).mean()), _kernel_grad(r, h, tables=tables)
+    return _kernel(r, h, True, _dense_sums)
+
+
+def fast_kernel(r, h, grad=True):
+    """Value and gradient from the fast Gauss transform, whatever m is."""
+    return _kernel(r, h, grad, _fgt_sums)
 
 
 def sample_residuals(kind, m, seed):
@@ -187,19 +194,19 @@ class TestKernelFastPath:
     def test_agrees_with_dense(self, m, h, kind, seed, shift):
         r = sample_residuals(kind, m, seed)
         v_ref, g_ref = dense_kernel(r, h)
-        v, g = _kernel_fgt(r, h)
+        v, g = fast_kernel(r, h)
         assert abs(v - v_ref) <= 1e-12 * abs(v_ref)
         assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
         assert abs(g.sum()) < 1e-10
-        v_shift, _ = _kernel_fgt(r + shift, h)
+        v_shift, _ = fast_kernel(r + shift, h)
         assert abs(v_shift - v) < 1e-12
 
     def test_value_only_matches(self):
         r = sample_residuals("student_t", 700, 3)
-        assert _kernel_fgt(r, 0.5, grad=False) == (_kernel_fgt(r, 0.5)[0], None)
+        assert fast_kernel(r, 0.5, grad=False) == (fast_kernel(r, 0.5)[0], None)
 
     def test_constant_residuals(self):
-        v, g = _kernel_fgt(np.full(_FGT_MIN_M, 3.7), 0.9)
+        v, g = fast_kernel(np.full(_FGT_MIN_M, 3.7), 0.9)
         assert abs(v) < 1e-14
         assert np.abs(g).max() < 1e-14
 
@@ -209,7 +216,7 @@ class TestKernelFastPath:
         # they no longer interact and the gradient is exactly zero, where
         # the dense path gives exponentially small norms (1e-111 at 8h).
         pattern = np.tile([-1.0, 1.0], _FGT_MIN_M)
-        norms = [np.linalg.norm(_kernel_fgt(s * pattern, 1.0)[1])
+        norms = [np.linalg.norm(fast_kernel(s * pattern, 1.0)[1])
                  for s in (1.0, 2.0, 2.5, 4.0, 8.0)]
         assert norms[0] > norms[1] > norms[2] > 0.0
         assert norms[3] == norms[4] == 0.0
@@ -218,11 +225,12 @@ class TestKernelFastPath:
     def test_non_finite_residual(self, bad):
         r = sample_residuals("normal", 600, 4)
         r[17] = bad
-        v, g = _kernel_fgt(r, 0.5)
+        v, g = fast_kernel(r, 0.5)
         assert not math.isfinite(v)
         assert not np.all(np.isfinite(g))
-        assert not math.isfinite(_kernel_fgt(r, 0.5, grad=False)[0])
+        assert not math.isfinite(fast_kernel(r, 0.5, grad=False)[0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("m", [40, 2 * _FGT_MIN_M])
     def test_non_finite_measurement_ends_solve(self, m):
         inst = make_instance(6, 2, m, (2, 1), NoiseModel.gaussian(0.1), seed=5)
@@ -235,6 +243,7 @@ class TestKernelFastPath:
         assert res.termination == "non_finite"
         assert res.iterations_run == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("gap", [1e6, -1e6, -1e300])
     def test_far_outlier(self, gap):
         h = 0.5
@@ -242,7 +251,7 @@ class TestKernelFastPath:
         r_out = r.copy()
         r_out[0] = (r.max() if gap > 0 else r.min()) + gap * h
         v_ref, g_ref = dense_kernel(r_out, h)
-        v, g = _kernel_fgt(r_out, h)
+        v, g = fast_kernel(r_out, h)
         assert abs(v - v_ref) <= 1e-12 * abs(v_ref)
         assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
 
@@ -250,7 +259,7 @@ class TestKernelFastPath:
         def peak(x):
             tracemalloc.start()
             try:
-                _kernel_fgt(x, h)
+                fast_kernel(x, h)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -259,13 +268,123 @@ class TestKernelFastPath:
     @pytest.mark.parametrize("m", [_FGT_MIN_M - 1, _FGT_MIN_M])
     def test_path_selected_by_size(self, m):
         r = sample_residuals("normal", m, 7)
-        want = _kernel_fgt(r, 0.8) if m >= _FGT_MIN_M else dense_kernel(r, 0.8)
+        want = fast_kernel(r, 0.8) if m >= _FGT_MIN_M else dense_kernel(r, 0.8)
         spec = LossSpec.kernel(0.8)
         v, g = loss_and_grad_residual(spec, r)
         assert v == want[0] == loss_value(spec, r)
         assert np.array_equal(g, want[1])
         assert np.array_equal(grad_residual(spec, r), want[1])
         assert np.array_equal(kernel_grad_residual(r, 0.8), want[1])
+
+
+class TestResidualHessian:
+    """Exact residual-space Hessian-vector products against their oracles.
+
+    Tolerances are fixed from double precision and the difference step, not
+    from observed errors: fast path against dense 1e-10 relative in norm,
+    symmetry and zero sum 1e-10 relative, central differences of the exact
+    gradient (step 1e-5) 1e-6 relative in norm.
+    """
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(m=st.integers(_FGT_MIN_M, 4000), h=st.floats(0.1, 2.0),
+           kind=st.sampled_from(["normal", "student_t", "cauchy"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(m=4000, h=0.1, kind="cauchy", seed=0)
+    @example(m=_FGT_MIN_M, h=2.0, kind="normal", seed=1)
+    def test_fast_agrees_with_dense(self, m, h, kind, seed):
+        r = sample_residuals(kind, m, seed)
+        v = np.random.default_rng([seed, 1]).standard_normal(m)
+        ref = _kernel_hessian(r, h, _dense_sums)(v)
+        hv = _kernel_hessian(r, h, _fgt_sums)(v)
+        assert np.linalg.norm(hv - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert abs(hv.sum()) < 1e-10 * np.linalg.norm(hv)
+
+    @pytest.mark.parametrize("m", [40, 2 * _FGT_MIN_M])
+    @pytest.mark.parametrize("kind", ["normal", "student_t"])
+    def test_symmetric_and_zero_sum(self, m, kind):
+        r = sample_residuals(kind, m, 8)
+        u, v = np.random.default_rng(9).standard_normal((2, m))
+        spec = LossSpec.kernel(0.5)
+        hu, hv = hvp_residual(spec, r, u), hvp_residual(spec, r, v)
+        scale = max(np.linalg.norm(u) * np.linalg.norm(hv),
+                    np.linalg.norm(v) * np.linalg.norm(hu))
+        assert abs(u @ hv - v @ hu) <= 1e-10 * scale
+        assert abs(hv.sum()) < 1e-10 * np.linalg.norm(hv)
+
+    @pytest.mark.parametrize("m", [40, 2 * _FGT_MIN_M])
+    @pytest.mark.parametrize("spec", [LossSpec.kernel(0.5),
+                                      LossSpec.combined(0.3, 0.5)])
+    def test_matches_gradient_differences(self, m, spec):
+        # The finite-difference Hessian lives only here, as an oracle.
+        r = sample_residuals("student_t", m, 10)
+        v = np.random.default_rng(11).standard_normal(m)
+        t = 1e-5
+        fd = (grad_residual(spec, r + t * v)
+              - grad_residual(spec, r - t * v)) / (2 * t)
+        hv = hvp_residual(spec, r, v)
+        assert np.linalg.norm(hv - fd) <= 1e-6 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("m", [40, 2 * _FGT_MIN_M])
+    def test_combined_mixes_parts(self, m):
+        # The combined loss mixes the mean-normalized MSE, whose Hessian is
+        # (1/m) times the sum-normalized 2I that hvp_residual gives the MSE.
+        r = sample_residuals("normal", m, 12)
+        v = np.random.default_rng(13).standard_normal(m)
+        lam = 0.3
+        hv = hvp_residual(LossSpec.combined(lam, 0.5), r, v)
+        parts = (lam / m * hvp_residual(LossSpec.mse("mean"), r, v)
+                 + (1 - lam) * hvp_residual(LossSpec.kernel(0.5), r, v))
+        assert np.linalg.norm(hv - parts) <= 1e-14 * np.linalg.norm(parts)
+
+    @pytest.mark.parametrize("norm", ["half_sum", "mean"])
+    def test_mse_is_twice_identity(self, norm):
+        r, v = np.random.default_rng(14).standard_normal((2, 9))
+        assert np.array_equal(hvp_residual(LossSpec.mse(norm), r, v), 2 * v)
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            hvp_residual(LossSpec.kernel(1.0), np.zeros(5), np.zeros(4))
+
+    @pytest.mark.parametrize("m", [40, 2 * _FGT_MIN_M])
+    def test_row_means_match_direct_sum(self, m):
+        r = sample_residuals("student_t", m, 15)
+        direct = np.exp(-np.subtract.outer(r, r) ** 2 / 0.25).mean(axis=1)
+        assert np.max(np.abs(kernel_row_means(r, 0.5) - direct) / direct) <= 1e-12
+
+
+def fd_hess_form(spec, op, b, M, K, L, t=1e-4):
+    """[Hess L(M)](K, L) from polarized central second differences of the
+    loss along K + L and K - L: a finite-difference oracle only."""
+    def second_difference(D):
+        f = [loss_value(spec, b - apply_op(op, M + s * D)) for s in (-t, 0.0, t)]
+        return (f[0] - 2.0 * f[1] + f[2]) / (t * t)
+    return 0.25 * (second_difference(K + L) - second_difference(K - L))
+
+
+class TestHessianNoiseGap:
+    """The zeta2/lambda2 bilinear forms <A(K), (H(r1) - H(r2)) A(L)> against
+    the polarized-difference oracle; tolerance 1e-5 relative to the forms,
+    fixed from the step 1e-4 (truncation ~1e-8, rounding ~1e-8)."""
+
+    @pytest.mark.parametrize("m", [60, 2 * _FGT_MIN_M])
+    @pytest.mark.parametrize("spec", [LossSpec.kernel(0.5),
+                                      LossSpec.combined(0.3, 0.5)])
+    def test_matches_polarized_differences(self, m, spec):
+        inst = make_instance(6, 2, m, (2, 1), NoiseModel.gaussian(0.1), seed=26)
+        rng = np.random.default_rng(27)
+        M = inst.truth.matrix + 0.1 * random_low_rank_symmetric(6, 2, rng)
+        K = random_low_rank_symmetric(6, 2, rng)
+        L = random_low_rank_symmetric(6, 2, rng)
+        w = 0.3 * rng.standard_normal(m)
+        b1, b2 = inst.measurements + w, inst.measurements
+        f1 = fd_hess_form(spec, inst.op, b1, M, K, L)
+        f2 = fd_hess_form(spec, inst.op, b2, M, K, L)
+        tol = 1e-5 * max(abs(f1), abs(f2))
+        r2 = b2 - apply_op(inst.op, M)
+        assert abs(_hess_gap(spec, inst.op, r2 + w, r2, K, L) - (f1 - f2)) <= tol
+        form = float(np.sum(K * hessian_vector_product(spec, inst.op, b1, M, L)))
+        assert abs(form - f1) <= tol
 
 
 class TestWeightedResidualMean:
@@ -405,10 +524,10 @@ class TestHessian:
         M = inst.truth.matrix
         K = rng.standard_normal((6, 6)); K = 0.5 * (K + K.T)
         spec = LossSpec.kernel(1.0)
-        q_fd = hessian_quadratic_form(spec, inst.op, inst.measurements, M, K)
+        q_form = hessian_quadratic_form(spec, inst.op, inst.measurements, M, K)
         hv = hessian_vector_product(spec, inst.op, inst.measurements, M, K)
         q_hvp = float(np.sum(K * hv))
-        assert abs(q_fd - q_hvp) / max(abs(q_hvp), 1e-12) < 1e-4
+        assert abs(q_form - q_hvp) / max(abs(q_hvp), 1e-12) < 1e-12
 
     def test_rejects_zero_direction(self):
         op = orthonormal_basis_operator(3)
