@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--spectrum", type=str, required=True,
                    help="comma-separated eigenvalues, e.g. 4,1")
     g.add_argument("--noise", type=str, default="gaussian",
-                   choices=list(NoiseModel._KINDS))
+                   choices=list(NoiseModel._PARAMS))
     g.add_argument("--noise-params", type=str, default="sigma=0.1",
                    help="comma-separated k=v pairs")
     g.add_argument("--centered", action="store_true")

@@ -132,8 +132,7 @@ def residuals(op: SensingOperator, b: np.ndarray, X: np.ndarray) -> np.ndarray:
     b = np.asarray(b)
     if b.shape != (op.m,):
         raise ValueError(f"b must have length {op.m}, got {b.shape}")
-    M = X @ X.T
-    return b - apply_op(op, 0.5 * (M + M.T))
+    return b - apply_op(op, X @ X.T)
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +363,7 @@ def weighted_residual_mean(r: np.ndarray, h: float, i: int) -> float:
     This is the value that makes the per-row derivative vanish: row i is
     stationary exactly when r_i equals this weighted mean.
     """
+    h = LossSpec.kernel(h).h              # rejects h <= 0 and non-finite h
     r = np.asarray(r, dtype=float)
     if not 0 <= i < r.size:
         raise ValueError(f"index {i} out of range for m={r.size}")
@@ -438,8 +438,7 @@ def grad_X(spec: LossSpec, op: SensingOperator, b: np.ndarray,
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] != op.n:
         raise ValueError(f"X must be {op.n} x r, got {X.shape}")
-    M = X @ X.T
-    return 2.0 * grad_M(spec, op, b, 0.5 * (M + M.T)) @ X
+    return 2.0 * grad_M(spec, op, b, X @ X.T) @ X
 
 
 def _curvature(spec: LossSpec, op: SensingOperator, b, M, K):

@@ -7,14 +7,22 @@
 # - A ground truth is M* = X* X*^T with X* an n x r factor.
 # - A sensing operator maps a symmetric n x n matrix M to the vector with
 #   entries <A_i, M> = tr(A_i^T M); every A_i is symmetric.
+# - Packed storage: since every A_i is symmetric, the operator stores only
+#   its upper triangle.  Row i of the (m, n(n+1)/2) matrix P holds the
+#   entries (A_i)_ab, a <= b, in np.triu_indices(n) order (LAPACK's packed
+#   symmetric layout, row by row).  apply_op weights each off-diagonal
+#   entry by M_ab + M_ba, adjoint_op writes each packed entry into both
+#   triangles; op.mats unpacks the full (m, n, n) array on demand.
 # - Measurements are b = A(M*) + w for a noise vector w of length m.
 # - Every generator is a pure function of (parameters, seed).
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,19 +61,62 @@ class GroundTruth:
     spectrum: tuple       # r positive eigenvalues of M*
 
 
+# Standard normals drawn per block by gen_gaussian_operator (512 KB), so
+# the draw's working set stays small beside P.
+_GEN_BLOCK_ENTRIES = 1 << 16
+
+
+@functools.lru_cache(maxsize=8)
+def _packing(n: int):
+    """Index arrays of the packed layout for dimension n (read-only).
+
+    iu: the np.triu_indices(n) pair; diag: packed positions of the diagonal
+    entries; full: (n, n) map from (a, b) to the packed position of
+    (min(a, b), max(a, b)).
+    """
+    iu = np.triu_indices(n)
+    diag = np.flatnonzero(iu[0] == iu[1])
+    full = np.empty((n, n), dtype=np.intp)
+    full[iu] = full[iu[::-1]] = np.arange(iu[0].size)
+    for a in (*iu, diag, full):
+        a.flags.writeable = False
+    return iu, diag, full
+
+
 @dataclass(frozen=True)
 class SensingOperator:
-    """Linear map from symmetric n x n matrices to R^m via <A_i, M>."""
+    """Linear map from symmetric n x n matrices to R^m via <A_i, M>.
+
+    P (m, n(n+1)/2) is the only storage: row i is the upper triangle of
+    A_i in np.triu_indices(n) order.
+    """
 
     n: int
     m: int
-    mats: np.ndarray      # (m, n, n), each symmetric
-    # Flattened view (m, n*n) used for fast apply; derived, not an input.
-    _flat: np.ndarray = field(repr=False, compare=False, default=None)
+    P: np.ndarray
 
     def __post_init__(self):
-        if self._flat is None:
-            object.__setattr__(self, "_flat", self.mats.reshape(self.m, -1))
+        shape = (self.m, self.n * (self.n + 1) // 2)
+        if self.P.shape != shape:
+            raise ValueError(f"packed matrix for n={self.n}, m={self.m} must "
+                             f"be {shape}, got {self.P.shape}")
+
+    @classmethod
+    def from_mats(cls, mats: np.ndarray) -> "SensingOperator":
+        """Pack a full (m, n, n) array of exactly symmetric matrices."""
+        mats = np.asarray(mats, dtype=float)
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+            raise ValueError(f"expected an (m, n, n) array, got {mats.shape}")
+        if not np.array_equal(mats, mats.transpose(0, 2, 1)):
+            raise ValueError("sensing matrices must be symmetric")
+        m, n = mats.shape[:2]
+        iu = _packing(n)[0]
+        return cls(n=n, m=m, P=mats[:, iu[0], iu[1]])
+
+    @property
+    def mats(self) -> np.ndarray:
+        """The full (m, n, n) array, unpacked on every access (not cached)."""
+        return np.take(self.P, _packing(self.n)[2], axis=1)
 
 
 @dataclass(frozen=True)
@@ -98,12 +149,21 @@ class NoiseModel:
     params: dict
     centered: bool = False
 
-    _KINDS = ("gaussian", "sub_gaussian_scaled", "uniform", "laplace", "student_t")
+    # Parameters each kind requires.
+    _PARAMS = {"gaussian": ("sigma",), "sub_gaussian_scaled": ("sigma0",),
+               "uniform": ("a", "b"), "laplace": ("scale",),
+               "student_t": ("dof", "scale")}
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self._PARAMS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         p = self.params
+        for key in self._PARAMS[self.kind]:
+            if key not in p:
+                raise ValueError(f"{self.kind} noise needs parameter {key!r}")
+            if not (isinstance(p[key], numbers.Real) and math.isfinite(p[key])):
+                raise ValueError(f"noise parameter {key} must be a finite "
+                                 f"number, got {p[key]!r}")
         if self.kind == "gaussian" and p["sigma"] < 0:
             raise ValueError("gaussian sigma must be >= 0")
         if self.kind == "sub_gaussian_scaled" and p["sigma0"] < 0:
@@ -210,9 +270,16 @@ def gen_gaussian_operator(n: int, m: int, seed: int) -> SensingOperator:
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((m, n, n))
-    mats = 0.5 * (g + g.transpose(0, 2, 1)) / np.sqrt(m)
-    return SensingOperator(n=n, m=m, mats=mats)
+    iu = _packing(n)[0]
+    P = np.empty((m, iu[0].size))
+    # Row blocks read the same standard-normal stream as one (m, n, n) draw
+    # and apply the same expression entrywise, so op.mats is bit-identical
+    # to 0.5 * (g + g^T) / sqrt(m) of that draw without holding it.
+    rows = max(1, _GEN_BLOCK_ENTRIES // (n * n))
+    for i in range(0, m, rows):
+        g = rng.standard_normal((min(rows, m - i), n, n))
+        P[i:i + rows] = 0.5 * (g[:, iu[0], iu[1]] + g[:, iu[1], iu[0]]) / np.sqrt(m)
+    return SensingOperator(n=n, m=m, P=P)
 
 
 def orthonormal_basis_operator(n: int) -> SensingOperator:
@@ -231,7 +298,7 @@ def orthonormal_basis_operator(n: int) -> SensingOperator:
             e = np.outer(eye[a], eye[b])
             mats[k] = 0.5 * (e + e.T)
             k += 1
-    return SensingOperator(n=n, m=n * n, mats=mats)
+    return SensingOperator.from_mats(mats)
 
 
 def apply_op(op: SensingOperator, M: np.ndarray) -> np.ndarray:
@@ -239,15 +306,18 @@ def apply_op(op: SensingOperator, M: np.ndarray) -> np.ndarray:
     M = np.asarray(M)
     if M.shape != (op.n, op.n):
         raise ValueError(f"expected {(op.n, op.n)} matrix, got {M.shape}")
-    return op._flat @ M.ravel()
+    iu, diag, _ = _packing(op.n)
+    x = (M + M.T)[iu]
+    x[diag] = M.diagonal()
+    return op.P @ x
 
 
 def adjoint_op(op: SensingOperator, v: np.ndarray) -> np.ndarray:
-    """Adjoint map: sum_i v_i A_i, a symmetric n x n matrix."""
+    """Adjoint map: sum_i v_i A_i, an exactly symmetric n x n matrix."""
     v = np.asarray(v)
     if v.shape != (op.m,):
         raise ValueError(f"expected length-{op.m} vector, got {v.shape}")
-    return (v @ op._flat).reshape(op.n, op.n)
+    return (v @ op.P)[_packing(op.n)[2]]
 
 
 def random_low_rank_symmetric(n: int, rank: int, rng) -> np.ndarray:
@@ -303,15 +373,11 @@ def full_rank_defect(op: SensingOperator) -> float:
     for curvature floors of quadratic losses, whose Hessian acts on the
     full symmetric space.
     """
-    n = op.n
-    basis = []
-    eye = np.eye(n)
-    for a in range(n):
-        for b in range(a, n):
-            e = np.outer(eye[a], eye[b])
-            e = e if a == b else (e + e.T) / np.sqrt(2.0)
-            basis.append(e.ravel())
-    phi = op._flat @ np.array(basis).T       # (m, n(n+1)/2)
+    # On the basis e_aa and (e_ab + e_ba)/sqrt(2), a < b, the coordinates
+    # of A_i are its packed entries with the off-diagonal ones times sqrt(2).
+    w = np.full(op.P.shape[1], np.sqrt(2.0))
+    w[_packing(op.n)[1]] = 1.0
+    phi = op.P * w                           # (m, n(n+1)/2)
     eigs = np.linalg.eigvalsh(phi.T @ phi)
     return float(np.max(np.abs(eigs - 1.0)))
 
@@ -373,10 +439,24 @@ def make_instance(n: int, r: int, m: int, spectrum, noise_model: NoiseModel,
                            noise_model=noise_model, seed=seed)
 
 
+def _fingerprint(measurements: np.ndarray) -> str:
+    """SHA-256 of the measurements as little-endian float64 bytes."""
+    # Imported here: loading it (OpenSSL) adds ~4 ms to every import of
+    # kernsense, and only instance files need it.
+    import hashlib
+    return hashlib.sha256(np.asarray(measurements, dtype="<f8").tobytes()).hexdigest()
+
+
 def instance_to_json(inst: ProblemInstance) -> str:
-    """Serialize the instance parameters (matrices regenerate from the seed)."""
+    """Serialize the instance parameters (matrices regenerate from the seed).
+
+    The document also carries the SHA-256 of the measurements, so a load
+    that regenerates different data (say, after a change in numpy's random
+    streams) fails instead of silently solving another instance.
+    """
     doc = {
         "format": "kernsense-instance-v1",
+        "measurements_sha256": _fingerprint(inst.measurements),
         "n": inst.truth.n,
         "r": inst.truth.r,
         "m": inst.op.m,
@@ -392,11 +472,21 @@ def instance_to_json(inst: ProblemInstance) -> str:
 
 
 def instance_from_json(text: str) -> ProblemInstance:
-    """Regenerate an instance from its document; bit-exact round trip."""
+    """Regenerate an instance from its document; bit-exact round trip.
+
+    Raises ValueError when the document holds a measurements fingerprint
+    that the regenerated instance does not match; documents without one
+    load unchecked.
+    """
     doc = json.loads(text)
     if doc.get("format") != "kernsense-instance-v1":
         raise ValueError("not a kernsense instance document")
     noise = NoiseModel(doc["noise"]["kind"], doc["noise"]["params"],
                        doc["noise"]["centered"])
-    return make_instance(doc["n"], doc["r"], doc["m"], doc["spectrum"],
+    inst = make_instance(doc["n"], doc["r"], doc["m"], doc["spectrum"],
                          noise, doc["seed"])
+    expected = doc.get("measurements_sha256")
+    if expected is not None and expected != _fingerprint(inst.measurements):
+        raise ValueError("the instance regenerated from the seed does not "
+                         "match the measurements fingerprint in its document")
+    return inst

@@ -164,14 +164,12 @@ class SolveResult:
 
 
 def spectral_init(op: SensingOperator, b: np.ndarray, r: int) -> np.ndarray:
-    """Warm start from the top-r eigenpairs of sym(A*(b)).
+    """Warm start from the top-r eigenpairs of the symmetric A*(b).
 
     Standard matrix-sensing initialization; the convergence theory assumes
     a point inside a basin without providing one.
     """
-    S = adjoint_op(op, np.asarray(b))
-    S = 0.5 * (S + S.T)
-    vals, vecs = np.linalg.eigh(S)
+    vals, vecs = np.linalg.eigh(adjoint_op(op, np.asarray(b)))
     idx = np.argsort(vals)[::-1][:r]
     lam = np.clip(vals[idx], 0.0, None)
     return vecs[:, idx] * np.sqrt(lam)
@@ -263,11 +261,14 @@ def gradient_descent(instance: ProblemInstance, spec: LossSpec,
     steps = 0
 
     def record(X):
-        r = b - apply_op(op, X @ X.T)
-        val, g = loss_and_grad_residual(spec, r)
-        losses.append(val)
-        errors.append(float(np.linalg.norm(X @ X.T - M_star)))
-        gX = 2.0 * (-adjoint_op(op, g)) @ X
+        # A diverging iterate overflows here; the loop below reports that
+        # as "non_finite", so the overflow warnings carry nothing more.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = b - apply_op(op, X @ X.T)
+            val, g = loss_and_grad_residual(spec, r)
+            losses.append(val)
+            errors.append(float(np.linalg.norm(X @ X.T - M_star)))
+            gX = 2.0 * (-adjoint_op(op, g)) @ X
         return val, gX
 
     val, gX = record(X)

@@ -79,7 +79,7 @@ def _check_determinism(seed):
     a = make_instance(5, 2, 20, (2.0, 1.0), NoiseModel.gaussian(0.1), seed)
     b = make_instance(5, 2, 20, (2.0, 1.0), NoiseModel.gaussian(0.1), seed)
     same = (np.array_equal(a.truth.matrix, b.truth.matrix)
-            and np.array_equal(a.op.mats, b.op.mats)
+            and np.array_equal(a.op.P, b.op.P)
             and np.array_equal(a.noise, b.noise))
     return same, "two builds bit-identical"
 

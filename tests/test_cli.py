@@ -84,6 +84,33 @@ def test_non_finite_bandwidth_exit_two(tmp, capsys):
     assert not (tmp / "run_summary.json").exists()
 
 
+@pytest.mark.parametrize("noise,params", [("laplace", "sigma=0.1"),
+                                          ("gaussian", "sigma=nan"),
+                                          ("student_t", "dof=inf,scale=1")])
+def test_bad_noise_params_exit_two(tmp, capsys, noise, params):
+    code = main(["gen", "--n", "5", "--rank", "1", "--m", "20", "--spectrum",
+                 "1", "--noise", noise, "--noise-params", params,
+                 "--out", str(tmp / "x.json")])
+    assert code == 2
+    assert "noise" in capsys.readouterr().err
+    assert not (tmp / "x.json").exists()
+
+
+def test_tampered_fingerprint_exit_two(tmp, capsys):
+    inst_file = tmp / "inst.json"
+    main(["gen", "--n", "6", "--rank", "2", "--m", "40", "--spectrum", "2,1",
+          "--noise", "gaussian", "--noise-params", "sigma=0.1", "--seed", "3",
+          "--out", str(inst_file)])
+    doc = json.loads(inst_file.read_text())
+    doc["measurements_sha256"] = "0" * 64
+    inst_file.write_text(json.dumps(doc))
+    code = main(["solve", "--instance", str(inst_file), "--loss", "mse",
+                 "--out", str(tmp / "run")])
+    assert code == 2
+    assert "fingerprint" in capsys.readouterr().err
+    assert not (tmp / "run_summary.json").exists()
+
+
 def test_sweep_csv_schema_and_determinism(tmp):
     cfg = dict(n=8, r=2, losses=["mse"], eps_grid=[0.4, 0.8], trials=1,
                max_iters=60, base_seed=9, out=str(tmp / "sweep.csv"))

@@ -410,6 +410,11 @@ class TestWeightedResidualMean:
         with pytest.raises(ValueError):
             weighted_residual_mean(np.zeros(3), 1.0, 3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_rejects_bad_bandwidth(self, bad):
+        with pytest.raises(ValueError):
+            weighted_residual_mean(np.array([0.0, 1.0, 2.0]), bad, 0)
+
 
 ALL_SPECS = [LossSpec.mse("half_sum"), LossSpec.mse("mean"),
              LossSpec.kernel(0.8), LossSpec.combined(0.4, 0.8)]
@@ -461,7 +466,7 @@ class TestGradX:
         from dataclasses import replace
         from kernsense.model import SensingOperator
         inst = make_instance(5, 2, 20, (2, 1), NoiseModel.gaussian(0.0), seed=17)
-        op2 = SensingOperator(n=5, m=20, mats=3.0 * inst.op.mats)
+        op2 = SensingOperator.from_mats(3.0 * inst.op.mats)
         b2 = 3.0 * inst.measurements
         g = grad_X(LossSpec.kernel(1.0), op2, b2, inst.truth.factor)
         assert np.abs(g).max() < 1e-12

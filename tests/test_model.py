@@ -1,9 +1,12 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from kernsense.model import (NoiseModel, adjoint_op, apply_op, estimate_rip,
+from kernsense.model import (NoiseModel, SensingOperator, adjoint_op, apply_op,
+                             estimate_rip, full_rank_defect,
                              gen_gaussian_operator, gen_ground_truth,
                              instance_from_json, instance_to_json,
                              make_instance, orthonormal_basis_operator,
@@ -84,6 +87,81 @@ class TestSensingOperator:
             adjoint_op(op, np.zeros(24))
 
 
+# (n, m) pairs; (40, 700) spans several row blocks of the generator, the last
+# one partial.
+PACKED_SIZES = [(1, 3), (2, 5), (7, 60), (40, 700)]
+
+
+class TestPackedOperator:
+    """The packed upper-triangle storage against the full (m, n, n) array."""
+
+    @pytest.mark.parametrize("n,m", PACKED_SIZES)
+    def test_mats_bit_identical_to_full_draw(self, n, m):
+        op = gen_gaussian_operator(n, m, seed=21)
+        g = np.random.default_rng(21).standard_normal((m, n, n))
+        assert np.array_equal(op.mats, 0.5 * (g + g.transpose(0, 2, 1)) / np.sqrt(m))
+
+    @pytest.mark.parametrize("n,m", PACKED_SIZES)
+    def test_apply_and_adjoint_match_dense(self, n, m):
+        op = gen_gaussian_operator(n, m, seed=22)
+        mats = op.mats
+        rng = np.random.default_rng(23)
+        M = rng.standard_normal((n, n))               # not symmetric
+        for X in (M, 0.5 * (M + M.T)):
+            dense = np.tensordot(mats, X, axes=([1, 2], [0, 1]))
+            got = apply_op(op, X)
+            assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
+        # Callers need not symmetrize: A(M) and A(sym M) agree bit for bit.
+        assert np.array_equal(apply_op(op, M), apply_op(op, 0.5 * (M + M.T)))
+        v = rng.standard_normal(m)
+        dense = np.tensordot(v, mats, axes=(0, 0))
+        got = adjoint_op(op, v)
+        assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("n,m", PACKED_SIZES)
+    def test_adjoint_exactly_symmetric(self, n, m):
+        op = gen_gaussian_operator(n, m, seed=24)
+        S = adjoint_op(op, np.random.default_rng(25).standard_normal(m))
+        assert np.array_equal(S, S.T)
+
+    @pytest.mark.parametrize("n,m", PACKED_SIZES)
+    def test_full_rank_defect_matches_explicit_basis(self, n, m):
+        op = gen_gaussian_operator(n, m, seed=26)
+        # Reference: the Gram matrix on an explicitly built orthonormal
+        # basis of symmetric matrices, applied to the full matrices.
+        eye = np.eye(n)
+        basis = []
+        for a in range(n):
+            for b in range(a, n):
+                e = np.outer(eye[a], eye[b])
+                e = e if a == b else (e + e.T) / np.sqrt(2.0)
+                basis.append(e.ravel())
+        phi = op.mats.reshape(m, -1) @ np.array(basis).T
+        ref = float(np.max(np.abs(np.linalg.eigvalsh(phi.T @ phi) - 1.0)))
+        assert abs(full_rank_defect(op) - ref) <= 1e-12 * max(ref, 1.0)
+
+    def test_from_mats_round_trip(self):
+        op = gen_gaussian_operator(6, 30, seed=27)
+        back = SensingOperator.from_mats(op.mats)
+        assert (back.n, back.m) == (6, 30)
+        assert np.array_equal(back.P, op.P)
+        assert np.array_equal(back.mats, op.mats)
+
+    def test_mats_not_cached(self):
+        op = gen_gaussian_operator(3, 4, seed=28)
+        assert op.mats is not op.mats
+
+    def test_rejects_bad_inputs(self):
+        mats = gen_gaussian_operator(3, 4, seed=29).mats
+        mats[0, 0, 1] += 1.0
+        with pytest.raises(ValueError):
+            SensingOperator.from_mats(mats)                # not symmetric
+        with pytest.raises(ValueError):
+            SensingOperator.from_mats(np.zeros((4, 3, 2)))
+        with pytest.raises(ValueError):
+            SensingOperator(n=3, m=4, P=np.zeros((4, 9)))  # unpacked width
+
+
 class TestRipEstimate:
     def test_orthonormal_basis_is_isometry(self):
         op = orthonormal_basis_operator(4)
@@ -133,6 +211,19 @@ class TestNoise:
         lambda: NoiseModel.laplace(0.0),
         lambda: NoiseModel.student_t(0.0, 1.0),
         lambda: NoiseModel("cauchy", {}),
+        lambda: NoiseModel.gaussian(math.nan),
+        lambda: NoiseModel.gaussian(math.inf),
+        lambda: NoiseModel.sub_gaussian_scaled(math.nan),
+        lambda: NoiseModel.uniform(-math.inf, 0.0),
+        lambda: NoiseModel.uniform(0.0, math.inf),
+        lambda: NoiseModel.uniform(math.nan, 1.0),
+        lambda: NoiseModel.laplace(math.inf),
+        lambda: NoiseModel.student_t(math.nan, 1.0),
+        lambda: NoiseModel.student_t(2.0, -math.inf),
+        lambda: NoiseModel("laplace", {"sigma": 0.1}),
+        lambda: NoiseModel("uniform", {"a": 0.0}),
+        lambda: NoiseModel("student_t", {"scale": 1.0}),
+        lambda: NoiseModel("gaussian", {"sigma": "0.1"}),
     ])
     def test_invalid_params(self, bad):
         with pytest.raises(ValueError):
@@ -184,6 +275,22 @@ class TestInstance:
         assert np.array_equal(back.op.mats, inst.op.mats)
         assert np.array_equal(back.noise, inst.noise)
         assert instance_to_json(back) == doc
+
+    def test_fingerprint_checked_on_load(self):
+        inst = make_instance(5, 1, 12, (1,), NoiseModel.gaussian(0.1), seed=2)
+        doc = json.loads(instance_to_json(inst))
+        digest = doc["measurements_sha256"]
+        assert digest == hashlib.sha256(inst.measurements.tobytes()).hexdigest()
+        doc["measurements_sha256"] = ("0" if digest[0] != "0" else "1") + digest[1:]
+        with pytest.raises(ValueError, match="fingerprint"):
+            instance_from_json(json.dumps(doc))
+
+    def test_document_without_fingerprint_loads(self):
+        inst = make_instance(5, 1, 12, (1,), NoiseModel.gaussian(0.1), seed=2)
+        doc = json.loads(instance_to_json(inst))
+        del doc["measurements_sha256"]
+        back = instance_from_json(json.dumps(doc))
+        assert np.array_equal(back.measurements, inst.measurements)
 
     def test_doc_is_valid_json_without_matrices(self):
         inst = make_instance(4, 1, 10, (3,), NoiseModel.gaussian(0.2), seed=1)
