@@ -80,10 +80,12 @@ class BoundInputs:
     def __post_init__(self):
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("delta must lie in [0, 1)")
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
-        if self.h <= 0:
-            raise ValueError("h must be > 0")
+        # NaN fails every comparison, so each test is written to pass only
+        # on valid values.
+        if not (self.eps >= 0 and math.isfinite(self.eps)):
+            raise ValueError("eps must be finite and >= 0")
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise ValueError("h must be finite and > 0")
 
     @property
     def l1_eff(self) -> float:
@@ -165,8 +167,8 @@ def turning_point(h: float) -> TurningPoint:
     (1/sqrt(2)) e^{-1/2} at eps = 1/sqrt(2); beyond that value of h^2 there
     is no crossing and eps_star is None.  Root by bisection to 1e-10.
     """
-    if h <= 0:
-        raise ValueError("h must be > 0")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("h must be finite and > 0")
     target = h * h
     if target > PEAK_VAL:
         return TurningPoint(None, PEAK_EPS, PEAK_VAL)
@@ -342,8 +344,8 @@ def noise_sensitivity_orders(kind: str, eps: float, h: float, m: int) -> float:
     if kind == "mse":
         return eps / m
     if kind == "kernel":
-        if h <= 0:
-            raise ValueError("h must be > 0 for the kernel order")
+        if not (h > 0 and math.isfinite(h)):
+            raise ValueError("h must be finite and > 0 for the kernel order")
         return eps * math.exp(-(eps ** 2) / (h ** 2)) / (m * h * h)
     raise ValueError(f"unknown kind {kind!r}")
 

@@ -47,8 +47,8 @@ class SweepConfig:
     shared across the whole epsilon grid and all losses; per grid point the
     noise is rescaled to exact norm epsilon.  The theory is conditioned on
     {||w|| <= eps}, so pinning the boundary is the honest desk-scale
-    surrogate; the epsilon of each row maps through prob_norm_bound for a
-    probability-axis label if needed.
+    surrogate; for Gaussian noise kinds the epsilon of each row maps
+    through prob_norm_bound for a probability-axis label.
     """
 
     n: int = 40
@@ -70,11 +70,12 @@ class SweepConfig:
     init_scale: float = 0.1
     const_samples: int = 16
     # Source of lambda_min for the kernel-loss error bound: "measured" runs
-    # shifted power iteration on the Hessian at the ground truth (the
-    # quantity the bound is stated for; flat across the grid), "floor"
-    # plugs in the closed-form curvature floor (headline-scale numbers, but
-    # it is built from norm upper bounds and can undercover under heavy
-    # tails).
+    # Lanczos (losses.lambda_min_hessian) on the Hessian at the ground
+    # truth (the quantity the bound is stated for; flat across the grid),
+    # "floor" plugs in the closed-form curvature floor (headline-scale
+    # numbers, but it is built from norm upper bounds and can undercover
+    # under heavy tails).  lambda_min_iters is its budget of
+    # Hessian-vector products.
     kernel_lambda_min: str = "measured"
     lambda_min_iters: int = 40
     workers: int = 1
@@ -344,6 +345,7 @@ def _cmd_solve(args) -> int:
         "eta": res.eta,
         "final_loss": float(res.loss_trace[-1]),
         "final_error": float(res.error_trace[-1]),
+        "final_grad_norm": res.grad_norm,
         "relative_error": float(res.error_trace[-1]
                                 / np.linalg.norm(inst.truth.matrix)),
     }
@@ -392,10 +394,18 @@ def _cmd_sweep(args) -> int:
         print(f"wrote {config.out}")
     else:
         sys.stdout.write(text)
-    # Probability-axis labels: each epsilon maps through the sub-Gaussian
-    # norm bound (scale from the noise params when present).
-    sigma = float(config.noise_params.get("sigma0",
-                                          config.noise_params.get("sigma", 0.05)) or 0.05)
+    # Probability-axis labels: each epsilon maps through the norm bound of
+    # prob_norm_bound, whose scale sigma makes the entries
+    # sigma/sqrt(m)-sub-Gaussian.  Only the Gaussian noise kinds carry one.
+    params = config.noise_params
+    if config.noise_kind == "sub_gaussian_scaled":
+        sigma = params["sigma0"]
+    elif config.noise_kind == "gaussian":
+        sigma = params["sigma"] * math.sqrt(config.m_eff)
+    else:
+        print(f"# no prob_lower_bound: {config.noise_kind} noise has no "
+              f"sub-Gaussian scale")
+        return 0
     for row in rows:
         p = prob_norm_bound(max(row.epsilon, 1e-12), config.m_eff, max(sigma, 1e-6))
         print(f"# {row.loss} eps={row.epsilon:g} prob_lower_bound={p:.6f}")

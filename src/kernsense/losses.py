@@ -474,47 +474,49 @@ def lambda_min_hessian(spec: LossSpec, op: SensingOperator, b: np.ndarray,
                        seed: int = 0) -> LambdaMinResult:
     """Smallest Hessian eigenvalue over symmetric directions.
 
-    Two power-iteration sweeps on Hessian-vector products A*(H A(v)), with
-    H formed once at r = b - A(M): one for the top eigenvalue, then one on
-    the shifted operator s*I - H whose top eigenvalue is s - lambda_min.
-    Converged when successive Rayleigh quotients differ by less than 1e-8;
-    otherwise the best estimate is returned with converged=False.
+    Lanczos iteration (Lanczos 1950; Parlett, The Symmetric Eigenvalue
+    Problem, 1998) with full reorthogonalization on the Hessian-vector
+    products A*(H A(v)), H formed once at r = b - A(M), started from a
+    random symmetric unit matrix drawn from seed.  iters is the budget of
+    Hessian-vector products, one per Lanczos step; the Krylov space cannot
+    outgrow the n(n+1)/2 symmetric directions, so no more are made.  Step k
+    takes the smallest eigenvalue theta of the k x k tridiagonal T_k, with
+    eigenvector s.  Converged when the Ritz residual beta_k |s_k| (s_k the
+    last entry of s) is at most 1e-8 max(1, |theta|), or on breakdown
+    (beta_k <= 1e-12 ||T_k||: the Krylov space is invariant and theta
+    exact).  Otherwise the last theta is returned with converged=False; it
+    is never below the true minimum (Cauchy interlacing), only above it.
+    A non-finite product gives value NaN with converged=False.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
     rng = np.random.default_rng(seed)
     n = op.n
-
-    def rand_sym():
-        v = rng.standard_normal((n, n))
-        v = 0.5 * (v + v.T)
-        return v / np.linalg.norm(v)
+    v = rng.standard_normal((n, n))
+    v = 0.5 * (v + v.T)
 
     hess = _residual_hessian(spec, np.asarray(b) - apply_op(op, M))
-
-    def hvp(v):
-        return adjoint_op(op, hess(apply_op(op, v)))
-
-    def top_eig(mv, v0):
-        v, lam = v0, 0.0
-        used = 0
-        for k in range(iters):
-            u = mv(v)
-            lam_new = float(np.sum(v * u))
-            nu = np.linalg.norm(u)
-            used = k + 1
-            if nu < 1e-14:
-                return lam_new, v, True, used
-            v = u / nu
-            if k > 0 and abs(lam_new - lam) < 1e-8 * max(1.0, abs(lam_new)):
-                return lam_new, v, True, used
-            lam = lam_new
-        return lam, v, False, used
-
-    lam_dom, _, conv1, it1 = top_eig(hvp, rand_sym())
-    # Phase 1 converges to the eigenvalue largest in magnitude; |lam_dom|
-    # therefore upper-bounds lambda_max, so the shifted operator is PSD.
-    shift = abs(lam_dom) + 0.5 * max(1.0, abs(lam_dom))
-    lam_shift, _, conv2, it2 = top_eig(lambda v: shift * v - hvp(v), rand_sym())
-    return LambdaMinResult(value=shift - lam_shift, converged=conv1 and conv2,
-                           iterations=it1 + it2)
+    steps = min(iters, n * (n + 1) // 2)
+    basis = np.empty((steps + 1, n * n))
+    basis[0] = (v / np.linalg.norm(v)).ravel()
+    alpha, beta = [], []
+    for k in range(steps):
+        u = adjoint_op(op, hess(apply_op(op, basis[k].reshape(n, n)))).ravel()
+        alpha.append(float(basis[k] @ u))
+        # Classical Gram-Schmidt twice against the whole basis; this also
+        # removes the three-term recurrence's alpha and beta components.
+        for _ in range(2):
+            u -= basis[:k + 1].T @ (basis[:k + 1] @ u)
+        beta.append(float(np.linalg.norm(u)))
+        if not math.isfinite(alpha[-1] + beta[-1]):       # non-finite H
+            return LambdaMinResult(value=math.nan, converged=False,
+                                   iterations=k + 1)
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1)
+                                  + np.diag(beta[:-1], -1))
+        value = float(theta[0])
+        if (beta[-1] <= 1e-12 * max(abs(theta[0]), abs(theta[-1]))
+                or beta[-1] * abs(s[-1, 0]) <= 1e-8 * max(1.0, abs(value))):
+            return LambdaMinResult(value=value, converged=True,
+                                   iterations=k + 1)
+        basis[k + 1] = u / beta[-1]
+    return LambdaMinResult(value=value, converged=False, iterations=steps)

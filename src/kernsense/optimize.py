@@ -161,6 +161,7 @@ class SolveResult:
     iterations_run: int
     termination: str           # "grad_tol" | "max_iters" | "non_finite"
     eta: float
+    grad_norm: float           # ||grad_X|| at X_hat
 
 
 def spectral_init(op: SensingOperator, b: np.ndarray, r: int) -> np.ndarray:
@@ -269,29 +270,29 @@ def gradient_descent(instance: ProblemInstance, spec: LossSpec,
             losses.append(val)
             errors.append(float(np.linalg.norm(X @ X.T - M_star)))
             gX = 2.0 * (-adjoint_op(op, g)) @ X
-        return val, gX
+            return val, gX, float(np.linalg.norm(gX))
 
-    val, gX = record(X)
+    val, gX, gnorm = record(X)
     for _ in range(config.max_iters):
         if not (math.isfinite(val) and np.all(np.isfinite(gX))):
             termination = "non_finite"
             break
-        if np.linalg.norm(gX) < config.grad_tol:
+        if gnorm < config.grad_tol:
             termination = "grad_tol"
             break
         X = X - eta * gX
         steps += 1
-        val, gX = record(X)
+        val, gX, gnorm = record(X)
     else:
         # Budget exhausted; classify the final point like any other.
         if not (math.isfinite(val) and np.all(np.isfinite(gX))):
             termination = "non_finite"
-        elif np.linalg.norm(gX) < config.grad_tol:
+        elif gnorm < config.grad_tol:
             termination = "grad_tol"
 
     return SolveResult(X_hat=X, loss_trace=np.array(losses),
                        error_trace=np.array(errors), iterations_run=steps,
-                       termination=termination, eta=eta)
+                       termination=termination, eta=eta, grad_norm=gnorm)
 
 
 # ---------------------------------------------------------------------------

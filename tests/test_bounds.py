@@ -36,6 +36,16 @@ class TestMseErrorUpper:
             mse_error_upper(BoundInputs(delta=0.0, eps=1.0))
 
 
+class TestBoundInputs:
+    @pytest.mark.parametrize("field,value", [
+        ("h", math.nan), ("h", math.inf), ("h", 0.0),
+        ("eps", math.nan), ("eps", math.inf), ("eps", -0.1),
+        ("delta", math.nan)])
+    def test_rejects_invalid(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BoundInputs(**{field: value})
+
+
 class TestKernelLambdaMinFloor:
     def test_frozen_value(self):
         bi = BoundInputs(g_min=1.0, b_max=0.0, l1=2.0, l2=0.0, h=1.0)
@@ -122,6 +132,12 @@ class TestTurningPoint:
         resid = tp.eps_star * math.exp(-tp.eps_star ** 2) - 0.09
         assert abs(resid) < 1e-10
         assert 0 < tp.eps_star <= PEAK_EPS
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -0.3])
+    def test_rejects_invalid_h(self, h):
+        # NaN passed the old h <= 0 test and gave eps_star 4.1e-11.
+        with pytest.raises(ValueError, match="finite and > 0"):
+            turning_point(h)
 
 
 class TestLipschitzLambda:
@@ -302,6 +318,11 @@ class TestNoiseSensitivityOrders:
     def test_kernel_frozen(self):
         v = noise_sensitivity_orders("kernel", 1.0, 1.0, 10)
         assert abs(v - 0.0367879) < 1e-6
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, 0.0])
+    def test_kernel_rejects_invalid_h(self, h):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            noise_sensitivity_orders("kernel", 0.5, h, 10)
 
     def test_ratio_independent_of_m(self):
         for m in (3, 17, 400):

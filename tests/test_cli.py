@@ -7,7 +7,7 @@ import pytest
 
 from kernsense.cli import (SWEEP_CSV_HEADER, SweepConfig, build_parser, main,
                            run_sweep, sweep_csv)
-from kernsense.model import instance_from_json
+from kernsense.model import instance_from_json, prob_norm_bound
 
 
 @pytest.fixture()
@@ -84,6 +84,42 @@ def test_non_finite_bandwidth_exit_two(tmp, capsys):
     assert not (tmp / "run_summary.json").exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--h", "nan"), ("--h", "inf"),
+                                        ("--eps", "nan"), ("--eps", "inf")])
+def test_bounds_non_finite_input_exit_two(tmp, capsys, flag, value):
+    code = main(["bounds", "--delta", "0.2", "--eps", "0.5", "--h", "1.0",
+                 flag, value, "--out", str(tmp / "rep.json")])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp / "rep.json").exists()
+
+
+def test_solve_summary_reports_final_grad_norm(tmp):
+    from kernsense.losses import LossSpec, grad_X
+    from kernsense.optimize import SolverConfig, gradient_descent
+    inst_file = tmp / "inst.json"
+    main(["gen", "--n", "6", "--rank", "2", "--m", "40", "--spectrum", "2,1",
+          "--noise", "gaussian", "--noise-params", "sigma=0.1", "--seed", "3",
+          "--out", str(inst_file)])
+    code = main(["solve", "--instance", str(inst_file), "--loss", "kernel",
+                 "--h", "1.0", "--eta", "0.05", "--max-iters", "30",
+                 "--init", "ground_truth_perturbed", "--init-scale", "0.1",
+                 "--seed", "2", "--out", str(tmp / "run")])
+    assert code == 0
+    summary = json.loads((tmp / "run_summary.json").read_text())
+    assert summary["termination"] == "max_iters"
+    inst = instance_from_json(inst_file.read_text())
+    spec = LossSpec.kernel(1.0)
+    res = gradient_descent(inst, spec, SolverConfig(
+        eta=0.05, max_iters=30, grad_tol=1e-10,
+        init="ground_truth_perturbed", init_scale=0.1, seed=2))
+    expected = np.linalg.norm(grad_X(spec, inst.op, inst.measurements,
+                                     res.X_hat))
+    assert expected > 0
+    assert res.grad_norm == pytest.approx(expected, rel=1e-12)
+    assert summary["final_grad_norm"] == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize("noise,params", [("laplace", "sigma=0.1"),
                                           ("gaussian", "sigma=nan"),
                                           ("student_t", "dof=inf,scale=1")])
@@ -136,6 +172,32 @@ def test_sweep_rows_ordered_and_mse_bound_increasing():
     assert bounds[0] < bounds[1] < bounds[2]
     text = sweep_csv(rows)
     assert text.count("\n") == 4
+
+
+@pytest.mark.parametrize("kind,params,sigma", [
+    ("student_t", {"dof": 2.0, "scale": 1.0}, None),
+    ("sub_gaussian_scaled", {"sigma0": 0.01}, 0.01),
+    # Entries of standard deviation sigma: the vector's scale is sigma sqrt(m).
+    ("gaussian", {"sigma": 0.001}, 0.001 * math.sqrt(120)),
+])
+def test_sweep_probability_labels_need_a_sub_gaussian_scale(tmp, capsys, kind,
+                                                            params, sigma):
+    cfg_file = tmp / "cfg.json"
+    cfg_file.write_text(json.dumps(dict(
+        n=6, r=2, losses=["mse"], eps_grid=[0.4, 0.8], trials=1,
+        max_iters=20, base_seed=3, noise_kind=kind, noise_params=params)))
+    assert main(["sweep", "--config", str(cfg_file)]) == 0
+    notes = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("#")]
+    if sigma is None:
+        assert notes == [f"# no prob_lower_bound: {kind} noise has no "
+                         "sub-Gaussian scale"]
+    else:
+        m = 10 * 6 * 2
+        labels = [prob_norm_bound(e, m, sigma) for e in (0.4, 0.8)]
+        assert 0 < labels[1] < 1
+        assert notes == [f"# mse eps={e:g} prob_lower_bound={p:.6f}"
+                         for e, p in zip((0.4, 0.8), labels)]
 
 
 def test_bounds_command_zero_noise(tmp, capsys):
