@@ -56,8 +56,8 @@ class BoundInputs:
     eigenvalue of the ground truth; g_scale: residual-gradient scale G
     (-sigma_min of the gradient at a minimizer); l_smooth: generic
     smoothness constant for the lower bounds; lambda_min: Hessian floor;
-    c_extra: additive constant in the kernel continuity bound; tau:
-    spectral-neighborhood parameter; n_meas: measurement count.
+    c_extra: additive constant in the kernel continuity bound; n_meas:
+    measurement count.
     """
 
     delta: float = 0.0
@@ -74,7 +74,6 @@ class BoundInputs:
     l_smooth: float = 0.0
     lambda_min: float = 0.0
     c_extra: float = 0.0
-    tau: float = 0.5
     n_meas: int = 1
 
     def __post_init__(self):
@@ -372,7 +371,7 @@ class BoundReport:
             "inputs": {k: getattr(self.inputs, k) for k in
                        ("delta", "eps", "h", "zeta1", "zeta2", "g_min",
                         "b_max", "l2", "sigma_r", "g_scale", "l_smooth",
-                        "lambda_min", "c_extra", "tau", "n_meas")},
+                        "lambda_min", "c_extra", "n_meas")},
             "l1": self.inputs.l1_eff,
             "values": self.values,
             "errors": self.errors,
@@ -465,7 +464,7 @@ def compute_report(bi: BoundInputs, hdi: Optional[HighDeltaInputs] = None,
 
     def steps():
         ci = ConvergenceBoundInputs(rho=rho, rank=rank, delta=bi.delta,
-                                    zeta2=bi.zeta2, eps=bi.eps, h=bi.h)
+                                    zeta2=bi.zeta2, eps=bi.eps)
         values["step_size_mse"] = step_size_bound(LossSpec.mse(), ci)
         values["step_size_kernel"] = step_size_bound(LossSpec.kernel(bi.h), ci)
         return values["step_size_mse"]

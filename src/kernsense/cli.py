@@ -24,11 +24,16 @@ from .losses import LossSpec, lambda_min_hessian, loss_value
 from .model import (NoiseModel, ProblemInstance, apply_op, estimate_rip,
                     instance_from_json, instance_to_json, make_instance,
                     prob_norm_bound)
-from .optimize import (SolverConfig, error_frobenius, gradient_descent,
-                       trace_csv)
+from .optimize import (ETA_SELECTORS, SolverConfig, auto_step_size, check_eta,
+                       error_frobenius, gradient_descent, trace_csv)
 from .verify import run_verification
 
 SWEEP_CSV_HEADER = "loss,epsilon,real_error,bound_error,lipschitz_L,hessian_H,flags"
+
+# Lanczos steps (Hessian-vector products) for the kernel bound's lambda_min.
+# At n = 40 they stop short of convergence; such rows carry
+# lambda_min_unconverged.
+LAMBDA_MIN_ITERS = 40
 
 
 def _fmt(x: float) -> str:
@@ -48,7 +53,13 @@ class SweepConfig:
     noise is rescaled to exact norm epsilon.  The theory is conditioned on
     {||w|| <= eps}, so pinning the boundary is the honest desk-scale
     surrogate; for Gaussian noise kinds the epsilon of each row maps
-    through prob_norm_bound for a probability-axis label.
+    through prob_norm_bound for a probability-axis label.  The noise is
+    not centered.
+
+    eta is a positive number or a selector from optimize.ETA_SELECTORS.
+    The kernel-loss error bound uses the lambda_min that Lanczos
+    (LAMBDA_MIN_ITERS steps) measures on the Hessian at the ground truth,
+    the quantity the bound is stated for.
     """
 
     n: int = 40
@@ -61,7 +72,6 @@ class SweepConfig:
     noise_kind: str = "sub_gaussian_scaled"
     noise_params: dict = dataclasses.field(
         default_factory=lambda: {"sigma0": 0.05})
-    noise_centered: bool = False
     delta_regime: str = "low"      # low -> m = 10 n r, high -> m = 2 n r
     m: int = 0                     # 0 means derive from the regime
     base_seed: int = 0
@@ -69,28 +79,21 @@ class SweepConfig:
     eta: object = "auto_rho"
     init_scale: float = 0.1
     const_samples: int = 16
-    # Source of lambda_min for the kernel-loss error bound: "measured" runs
-    # Lanczos (losses.lambda_min_hessian) on the Hessian at the ground
-    # truth (the quantity the bound is stated for; flat across the grid),
-    # "floor" plugs in the closed-form curvature floor (headline-scale
-    # numbers, but it is built from norm upper bounds and can undercover
-    # under heavy tails).  lambda_min_iters is its budget of
-    # Hessian-vector products.
-    kernel_lambda_min: str = "measured"
-    lambda_min_iters: int = 40
     workers: int = 1
     out: str = ""
 
     def __post_init__(self):
         eg = tuple(self.eps_grid)
+        if not all(math.isfinite(e) and e >= 0 for e in eg):
+            raise ValueError(f"eps_grid values must be finite and >= 0, "
+                             f"got {eg}")
         if any(b <= a for a, b in zip(eg, eg[1:])):
             raise ValueError("eps_grid must be strictly increasing")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.delta_regime not in ("low", "high"):
             raise ValueError("delta_regime must be 'low' or 'high'")
-        if self.kernel_lambda_min not in ("measured", "floor"):
-            raise ValueError("kernel_lambda_min must be 'measured' or 'floor'")
+        check_eta(self.eta)
         for k in self.losses:
             if k not in ("mse", "kernel", "combined"):
                 raise ValueError(f"unknown loss {k!r}")
@@ -127,8 +130,7 @@ def _trial_seed(base_seed: int, trial: int, role: int) -> int:
 
 def _trial_base(config: SweepConfig, trial: int):
     """Instance (truth, operator, unit noise direction, delta_hat) per trial."""
-    noise = NoiseModel(config.noise_kind, config.noise_params,
-                       config.noise_centered)
+    noise = NoiseModel(config.noise_kind, config.noise_params)
     inst = make_instance(config.n, config.r, config.m_eff,
                          tuple([1.0] * config.r), noise,
                          _trial_seed(config.base_seed, trial, 0))
@@ -152,7 +154,7 @@ def _at_eps(inst: ProblemInstance, direction: np.ndarray,
 
 
 def _run_cell(config: SweepConfig, loss_kind: str, eps: float, trial: int,
-              base, eta, lam_measured=None) -> dict:
+              base, eta, lam_min) -> dict:
     """One (loss, eps, trial) cell: solve, then constants and the bound."""
     inst0, direction, delta = base
     inst = _at_eps(inst0, direction, eps)
@@ -186,15 +188,11 @@ def _run_cell(config: SweepConfig, loss_kind: str, eps: float, trial: int,
             bound = bd.mse_error_upper(bd.BoundInputs(delta=delta, eps=eps))
         elif loss_kind == "kernel":
             bi = bd.BoundInputs(delta=delta, eps=eps, h=config.h,
-                                g_min=g_min, b_max=b_max)
-            if config.kernel_lambda_min == "floor" or lam_measured is None:
-                lam = bd.kernel_lambda_min_floor(bi)
-            else:
-                lam = lam_measured.value
-                if not lam_measured.converged:
-                    flags.append("lambda_min_unconverged")
-            bound = bd.kernel_error_upper(dataclasses.replace(
-                bi, lambda_min=lam))
+                                g_min=g_min, b_max=b_max,
+                                lambda_min=lam_min.value)
+            if not lam_min.converged:
+                flags.append("lambda_min_unconverged")
+            bound = bd.kernel_error_upper(bi)
         else:
             l_star = float(res.loss_trace[-1])
             bound = bd.combined_bound(l_star, config.lambda_mix,
@@ -217,8 +215,6 @@ def run_sweep(config: SweepConfig) -> list:
     fixed order.  Automatic step sizes are resolved once per (loss, trial)
     on the largest-epsilon instance and reused across the grid.
     """
-    from .optimize import auto_step_size
-
     bases = {t: _trial_base(config, t) for t in range(config.trials)}
     etas = {}
     lam_meas = {}
@@ -232,7 +228,7 @@ def run_sweep(config: SweepConfig) -> list:
                     seed=_trial_seed(config.base_seed, t, 6), rho_samples=16)
             else:
                 etas[(loss, t)] = float(config.eta)
-        if "kernel" in config.losses and config.kernel_lambda_min == "measured":
+        if "kernel" in config.losses:
             # Measured once per trial at the top of the grid: the smallest
             # Hessian eigenvalue at the truth moves by well under a percent
             # across the grid (the weights see only the residual spread),
@@ -240,7 +236,7 @@ def run_sweep(config: SweepConfig) -> list:
             lam_meas[t] = lambda_min_hessian(
                 config.loss_spec("kernel"), inst_top.op,
                 inst_top.measurements, inst_top.truth.matrix,
-                iters=config.lambda_min_iters,
+                iters=LAMBDA_MIN_ITERS,
                 seed=_trial_seed(config.base_seed, t, 5))
     cells = [(loss, eps, t) for loss in config.losses
              for eps in config.eps_grid for t in range(config.trials)]
@@ -323,12 +319,10 @@ def _loss_spec_from_args(args) -> LossSpec:
 def _cmd_solve(args) -> int:
     inst = instance_from_json(Path(args.instance).read_text())
     spec = _loss_spec_from_args(args)
-    eta = args.eta if args.eta in ("auto", "auto_rho", "auto_mse",
-                                   "auto_kernel") else float(args.eta)
     init_x0 = None
     if args.init == "explicit":
         init_x0 = np.array(json.loads(Path(args.init_file).read_text()))
-    config = SolverConfig(eta=eta, max_iters=args.max_iters,
+    config = SolverConfig(eta=args.eta, max_iters=args.max_iters,
                           grad_tol=args.grad_tol, init=args.init,
                           init_scale=args.init_scale, init_X0=init_x0,
                           seed=args.seed)
@@ -355,10 +349,23 @@ def _cmd_solve(args) -> int:
     return 3 if res.termination == "non_finite" else 0
 
 
+def _read_config(path: str, allowed) -> dict:
+    """The JSON object in path; a key outside allowed is a usage error."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(f"{path}: unknown config key(s): "
+                         f"{', '.join(unknown)}")
+    return doc
+
+
 def _sweep_config_from_args(args) -> SweepConfig:
     fields = {}
     if args.config:
-        fields.update(json.loads(Path(args.config).read_text()))
+        fields.update(_read_config(
+            args.config, [f.name for f in dataclasses.fields(SweepConfig)]))
     override = {
         "n": args.n, "r": args.rank, "m": args.m, "h": args.h,
         "lambda_mix": args.lambda_mix, "trials": args.trials,
@@ -374,8 +381,7 @@ def _sweep_config_from_args(args) -> SweepConfig:
     if args.eps is not None:
         fields["eps_grid"] = tuple(float(x) for x in args.eps.split(","))
     if args.eta is not None:
-        fields["eta"] = (args.eta if args.eta.startswith("auto")
-                         else float(args.eta))
+        fields["eta"] = args.eta
     if "losses" in fields:
         fields["losses"] = tuple(fields["losses"])
     if "eps_grid" in fields:
@@ -412,23 +418,26 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# BoundInputs fields that `bounds` takes as float flags.
+BOUNDS_FLOAT_INPUTS = ("delta", "eps", "h", "zeta1", "zeta2", "g_min", "b_max",
+                       "l1", "l2", "sigma_r", "g_scale", "l_smooth",
+                       "lambda_min", "c_extra")
+# Keys a bounds config may hold beside the BoundInputs fields.
+_HDI_KEYS = ("lambda_rstar", "norm_q", "gamma_min", "u_min_sq")
+_REPORT_KEYS = ("l_star", "lambda_mix", "rho", "rank")
+
+
 def _cmd_bounds(args) -> int:
     fields = {}
     if args.config:
-        fields.update(json.loads(Path(args.config).read_text()))
-    for name in ("delta", "eps", "h", "zeta1", "zeta2", "g_min", "b_max",
-                 "l2", "sigma_r", "g_scale", "l_smooth", "lambda_min",
-                 "c_extra", "tau"):
+        fields.update(_read_config(
+            args.config, [f.name for f in dataclasses.fields(bd.BoundInputs)]
+            + list(_HDI_KEYS + _REPORT_KEYS)))
+    for name in BOUNDS_FLOAT_INPUTS + ("n_meas",):
         v = getattr(args, name)
         if v is not None:
             fields[name] = v
-    if args.l1 is not None:
-        fields["l1"] = args.l1
-    if args.n_meas is not None:
-        fields["n_meas"] = args.n_meas
-    hdi_fields = {k: fields.pop(k) for k in
-                  ("lambda_rstar", "norm_q", "gamma_min", "u_min_sq")
-                  if k in fields}
+    hdi_fields = {k: fields.pop(k) for k in _HDI_KEYS if k in fields}
     l_star = fields.pop("l_star", 0.0)
     lambda_mix = fields.pop("lambda_mix", 1.0)
     rho = fields.pop("rho", 1.0)
@@ -469,6 +478,16 @@ def _cmd_verify(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _eta_arg(text: str):
+    """--eta value: a selector name, or a number checked later."""
+    try:
+        return text if text in ETA_SELECTORS else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number or one of "
+            f"{', '.join(ETA_SELECTORS)}, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="kernsense",
@@ -500,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lambda-mix", type=float, default=0.5)
     s.add_argument("--mse-norm", type=str, default="half_sum",
                    choices=["half_sum", "mean"])
-    s.add_argument("--eta", type=str, default="auto")
+    s.add_argument("--eta", type=_eta_arg, default="auto")
     s.add_argument("--max-iters", type=int, default=5000)
     s.add_argument("--grad-tol", type=float, default=1e-10)
     s.add_argument("--init", type=str, default="spectral",
@@ -528,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--trials", type=int, default=None)
     w.add_argument("--delta-regime", type=str, default=None,
                    choices=["low", "high"])
-    w.add_argument("--eta", type=str, default=None)
+    w.add_argument("--eta", type=_eta_arg, default=None)
     w.add_argument("--max-iters", type=int, default=None)
     w.add_argument("--workers", type=int, default=None)
     w.add_argument("--seed", type=int, default=None)
@@ -537,9 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="evaluate every bound calculator")
     b.add_argument("--config", type=str, default=None)
-    for name in ("delta", "eps", "h", "zeta1", "zeta2", "g_min", "b_max",
-                 "l1", "l2", "sigma_r", "g_scale", "l_smooth", "lambda_min",
-                 "c_extra", "tau"):
+    for name in BOUNDS_FLOAT_INPUTS:
         b.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float,
                        default=None)
     b.add_argument("--n-meas", dest="n_meas", type=int, default=None)

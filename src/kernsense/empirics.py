@@ -286,31 +286,31 @@ class ConstantEstimates:
         return cls(**json.loads(text))
 
 
-def estimate_constants(spec: LossSpec, instance, samples: int, seed: int,
-                       h: float = None, mag_range=None) -> ConstantEstimates:
+def estimate_constants(spec: LossSpec, instance, samples: int,
+                       seed: int) -> ConstantEstimates:
     """Run every estimator on one instance and bundle the results.
 
     Residual constants are evaluated at the ground truth (residuals equal
-    the realized noise); delta for the L1 formula comes from a sampled
-    isometry probe at rank 2r.
+    the realized noise; the MSE uses bandwidth 1); delta for the L1 formula
+    comes from a sampled isometry probe at rank 2r.
     """
     from .model import estimate_rip
 
     op, b = instance.op, instance.measurements
     M_star = instance.truth.matrix
-    h_eff = spec.h if spec.h is not None else (h if h is not None else 1.0)
+    h_eff = spec.h if spec.h is not None else 1.0
     seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(5)]
     scale = max(1.0, float(np.linalg.norm(M_star)))
 
     rank2 = min(2 * instance.truth.r, op.n)
     z1 = estimate_zeta1(spec, op, b, M_star, samples, seeds[0],
-                        mag_range=mag_range, scale=scale, rank=rank2)
+                        scale=scale, rank=rank2)
     z2 = estimate_zeta2(spec, op, b, M_star, samples, seeds[1],
-                        mag_range=mag_range, scale=scale, rank=rank2)
+                        scale=scale, rank=rank2)
     rho = estimate_rho(spec, op, b, samples, seeds[2],
                        rank=instance.truth.r, scale=scale)
     lam1, lam2 = estimate_lambda12(spec, op, b, M_star, samples, seeds[3],
-                                   mag_range=mag_range, rank=rank2)
+                                   rank=rank2)
     g_min, b_max = residual_constants(instance.noise, h_eff)
     delta = estimate_rip(op, min(2 * instance.truth.r, op.n), max(16, samples),
                          seeds[4]).delta_hat

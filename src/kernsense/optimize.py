@@ -18,6 +18,8 @@ from .losses import (COMBINED, KERNEL, MSE, LossSpec, grad_residual,
                      loss_and_grad_residual)
 
 __all__ = [
+    "ETA_SELECTORS",
+    "check_eta",
     "SolverConfig",
     "SolveResult",
     "ConvergenceBoundInputs",
@@ -45,11 +47,11 @@ class ConvergenceBoundInputs:
 
     rho is the restricted gradient-Lipschitz constant of the quadratic
     (MSE) structure; the kernel rule reuses it and accounts for the kernel
-    curvature through the h^2 factor.  norm_Mw is ||M^w||_F where M^w is
-    the minimizer of the loss at the realized noise; it has no closed form
-    for the kernel loss and is in practice approximated from a long
-    high-precision solve (or from the spectral surrogate before solving).
-    sigma_r_Mw is the r-th singular value of that same approximation.
+    curvature through the h^2 factor, with h read from the loss spec.
+    norm_Mw is ||M^w||_F where M^w is the minimizer of the loss at the
+    realized noise; it has no closed form for the kernel loss and is in
+    practice approximated from a long high-precision solve (or from the
+    spectral surrogate before solving).
     """
 
     rho: float
@@ -57,21 +59,14 @@ class ConvergenceBoundInputs:
     delta: float = 0.0
     zeta2: float = 0.0
     eps: float = 0.0
-    h: float = 1.0
     norm_Mw: float = 0.0
-    sigma_r_Mw: float = 0.0
 
     def __post_init__(self):
-        for name in ("rho", "rank", "zeta2", "eps", "norm_Mw", "sigma_r_Mw"):
+        for name in ("rho", "rank", "zeta2", "eps", "norm_Mw"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.rho == 0 or self.rank == 0:
             raise ValueError("rho and rank must be positive")
-
-    @property
-    def c_w(self) -> float:
-        """Basin radius scale sqrt(2(sqrt(2)-1)) * sigma_r(M^w)."""
-        return math.sqrt(2.0 * (_SQRT2 - 1.0)) * self.sigma_r_Mw
 
 
 def step_size_bound(spec: LossSpec, inputs: ConvergenceBoundInputs) -> float:
@@ -110,6 +105,27 @@ def step_size_summary_rule(kind: str, rho: float, c0: float,
     return h ** 2 * base if kind == KERNEL else base
 
 
+# Step-size selectors resolved by auto_step_size:
+#   "auto"      theory step from step_size_bound with a shared rho estimate
+#               of the quadratic structure (the kernel value is exactly h^2
+#               times the MSE value);
+#   "auto_rho"  same formula but with rho re-estimated for the actual loss
+#               being solved; far less conservative for the kernel loss,
+#               whose gradients are small.
+ETA_SELECTORS = ("auto", "auto_rho")
+
+
+def check_eta(eta) -> None:
+    """Raise ValueError unless eta is a selector or a positive number."""
+    if isinstance(eta, str):
+        if eta not in ETA_SELECTORS:
+            raise ValueError(f"unknown eta selector {eta!r}; expected a "
+                             f"positive number or one of "
+                             f"{', '.join(ETA_SELECTORS)}")
+    elif not eta > 0:
+        raise ValueError("explicit eta must be > 0")
+
+
 # ---------------------------------------------------------------------------
 # Solver
 # ---------------------------------------------------------------------------
@@ -118,14 +134,7 @@ def step_size_summary_rule(kind: str, rho: float, c0: float,
 class SolverConfig:
     """Gradient-descent configuration.
 
-    eta: positive float, or one of
-      "auto"        theory step from step_size_bound with a shared rho
-                    estimate of the quadratic structure (the kernel value
-                    is exactly h^2 times the MSE value);
-      "auto_rho"    same formula but with rho re-estimated for the actual
-                    loss being solved; far less conservative for the
-                    kernel loss, whose gradients are small;
-      "auto_mse" / "auto_kernel"  force the respective closed form.
+    eta: positive float, or a selector from ETA_SELECTORS.
     init: "spectral", "ground_truth_perturbed", or "explicit" (set init_X0).
     """
 
@@ -138,11 +147,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.eta, str):
-            if self.eta not in ("auto", "auto_rho", "auto_mse", "auto_kernel"):
-                raise ValueError(f"unknown eta selector {self.eta!r}")
-        elif not self.eta > 0:
-            raise ValueError("explicit eta must be > 0")
+        check_eta(self.eta)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.grad_tol < 0:
@@ -191,50 +196,36 @@ def _init_point(instance: ProblemInstance, config: SolverConfig) -> np.ndarray:
     return np.array(config.init_X0, dtype=float, copy=True)
 
 
-def _rho_for_step(instance: ProblemInstance, spec: LossSpec, seed: int,
-                  samples: int = 32) -> float:
-    from .empirics import estimate_rho
-    return estimate_rho(spec, instance.op, instance.measurements,
-                        samples=samples, seed=seed)
-
-
 def auto_step_size(instance: ProblemInstance, spec: LossSpec,
                    selector: str = "auto", seed: int = 0,
-                   rip_trials: int = 32, rho_samples: int = 32) -> float:
+                   rho_samples: int = 32) -> float:
     """Step size from the closed-form descent rule, on-instance constants.
 
     rho comes from empirics.estimate_rho; delta from a sampled isometry
     probe; ||M^w||_F is approximated by the rank-r spectral surrogate built
     from the measurements (the actual minimizer is not available before
-    solving).  With selector "auto"/"auto_mse"/"auto_kernel" the rho of the
-    quadratic structure is used, so the kernel step is exactly h^2 times
-    the MSE step; "auto_rho" re-estimates rho for the loss itself.
+    solving).  With selector "auto" the rho of the quadratic structure is
+    used, so the kernel step is exactly h^2 times the MSE step; "auto_rho"
+    re-estimates rho for the loss itself.
     """
+    from .empirics import estimate_rho
     from .model import estimate_rip
 
+    if selector not in ETA_SELECTORS:
+        raise ValueError(f"unknown eta selector {selector!r}")
     op, b = instance.op, instance.measurements
     r = instance.truth.r
     seeds = np.random.SeedSequence(seed).generate_state(2)
-    if selector == "auto_rho":
-        rho = _rho_for_step(instance, spec, int(seeds[0]), rho_samples)
-        kind_spec = spec
-    else:
-        rho = _rho_for_step(instance, LossSpec.mse(), int(seeds[0]), rho_samples)
-        if selector == "auto_mse":
-            kind_spec = LossSpec.mse()
-        elif selector == "auto_kernel":
-            if spec.h is None:
-                raise ValueError("auto_kernel needs a bandwidth on the loss spec")
-            kind_spec = LossSpec.kernel(spec.h)
-        else:
-            kind_spec = spec
-    delta = estimate_rip(op, min(2 * r, op.n), rip_trials, int(seeds[1])).delta_hat
+    rho_spec = spec if selector == "auto_rho" else LossSpec.mse()
+    rho = estimate_rho(rho_spec, op, b, samples=rho_samples,
+                       seed=int(seeds[0]))
+    delta = estimate_rip(op, min(2 * r, op.n), 32, int(seeds[1])).delta_hat
     delta = min(delta, 0.999)
     X0 = spectral_init(op, b, r)
     norm_mw = float(np.linalg.norm(X0 @ X0.T))
     inputs = ConvergenceBoundInputs(rho=rho, rank=r, delta=delta, zeta2=0.0,
-                                    eps=0.0, h=spec.h or 1.0, norm_Mw=norm_mw)
-    return step_size_bound(kind_spec, inputs)
+                                    eps=0.0, norm_Mw=norm_mw)
+    return step_size_bound(spec, inputs)
 
 
 def gradient_descent(instance: ProblemInstance, spec: LossSpec,
@@ -258,7 +249,6 @@ def gradient_descent(instance: ProblemInstance, spec: LossSpec,
     X = _init_point(instance, config)
     losses = []
     errors = []
-    termination = "max_iters"
     steps = 0
 
     def record(X):
@@ -273,22 +263,19 @@ def gradient_descent(instance: ProblemInstance, spec: LossSpec,
             return val, gX, float(np.linalg.norm(gX))
 
     val, gX, gnorm = record(X)
-    for _ in range(config.max_iters):
+    while True:
         if not (math.isfinite(val) and np.all(np.isfinite(gX))):
             termination = "non_finite"
             break
         if gnorm < config.grad_tol:
             termination = "grad_tol"
             break
+        if steps == config.max_iters:
+            termination = "max_iters"
+            break
         X = X - eta * gX
         steps += 1
         val, gX, gnorm = record(X)
-    else:
-        # Budget exhausted; classify the final point like any other.
-        if not (math.isfinite(val) and np.all(np.isfinite(gX))):
-            termination = "non_finite"
-        elif gnorm < config.grad_tol:
-            termination = "grad_tol"
 
     return SolveResult(X_hat=X, loss_trace=np.array(losses),
                        error_trace=np.array(errors), iterations_run=steps,
@@ -338,12 +325,15 @@ def dist_factor(X: np.ndarray, M: np.ndarray, rank_tol: float = 1e-8) -> float:
 
 
 def error_frobenius(X: np.ndarray, M_star: np.ndarray) -> float:
-    """||X X^T - M*||_F."""
+    """||X X^T - M*||_F; inf or nan for a diverged X."""
     X = np.asarray(X, dtype=float)
     M_star = np.asarray(M_star, dtype=float)
     if X.ndim != 2 or M_star.shape != (X.shape[0], X.shape[0]):
         raise ValueError("dimension mismatch between X and M*")
-    return float(np.linalg.norm(X @ X.T - M_star))
+    # A diverged iterate (a "non_finite" solve) overflows here; the caller
+    # already flags it, so the overflow warning carries nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(X @ X.T - M_star))
 
 
 def trace_csv(values: np.ndarray, column: str) -> str:

@@ -192,7 +192,6 @@ def _check_descent(seed):
         rho = estimate_rho(spec, inst.op, inst.measurements, 30, seed + 2,
                            rank=2, scale=scale)
         ci = ConvergenceBoundInputs(rho=rho, rank=2, delta=delta,
-                                    h=spec.h or 1.0,
                                     norm_Mw=float(np.linalg.norm(X0 @ X0.T)))
         eta = 0.5 * step_size_bound(spec, ci)
         res = gradient_descent(inst, spec, SolverConfig(

@@ -169,7 +169,7 @@ def test_criterion_5_monotone_descent():
                 rho = estimate_rho(spec, inst.op, inst.measurements, 24,
                                    3200 + k, rank=r, scale=scale)
                 ci = ConvergenceBoundInputs(rho=rho, rank=r, delta=delta,
-                                            h=spec.h or 1.0, norm_Mw=norm_mw)
+                                            norm_Mw=norm_mw)
                 eta = 0.5 * step_size_bound(spec, ci)
                 res = gradient_descent(inst, spec, SolverConfig(
                     eta=eta, max_iters=1000, grad_tol=0.0,
@@ -180,9 +180,8 @@ def test_criterion_5_monotone_descent():
                 assert np.all(steps <= 1e-10), (k, spec.kind, steps.max())
         inst = make_instance(8, 2, 128, (2, 1), NoiseModel.gaussian(0.1),
                              seed=3400)
-        e_mse = auto_step_size(inst, LossSpec.mse(), "auto_mse", seed=7)
-        e_ker = auto_step_size(inst, LossSpec.kernel(0.6), "auto_kernel",
-                               seed=7)
+        e_mse = auto_step_size(inst, LossSpec.mse(), "auto", seed=7)
+        e_ker = auto_step_size(inst, LossSpec.kernel(0.6), "auto", seed=7)
         assert e_ker == 0.6 ** 2 * e_mse
         ctx.detail = f"worst step increase {worst_increase:.2e}"
 

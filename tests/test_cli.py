@@ -250,3 +250,51 @@ def test_parser_exposes_documented_subcommands():
     text = parser.format_help()
     for sub in ("gen", "solve", "sweep", "bounds", "verify"):
         assert sub in text
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    ("sweep", {"n": 6, "bogus": 1}, "bogus"),
+    # Fields removed from the config dataclasses are unknown keys too.
+    ("sweep", {"kernel_lambda_min": "floor"}, "kernel_lambda_min"),
+    ("bounds", {"delta": 0.2, "bogus": 1}, "bogus"),
+    ("bounds", {"tau": 0.5}, "tau"),
+])
+def test_config_unknown_key_exit_two(tmp, capsys, command, doc, key):
+    cfg_file = tmp / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    code = main([command, "--config", str(cfg_file),
+                 "--out", str(tmp / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown config key" in err and key in err
+    assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("grid", ["0.4,nan", "0.4,inf", "-0.4,0.8"])
+def test_sweep_bad_eps_grid_exit_two(tmp, capsys, grid):
+    code = main(["sweep", f"--eps={grid}", "--n", "6", "--rank", "2",
+                 "--trials", "1", "--out", str(tmp / "out.csv")])
+    assert code == 2
+    assert "eps_grid values must be finite and >= 0" in capsys.readouterr().err
+    assert not (tmp / "out.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--instance", "x.json", "--out", "run"],
+    ["sweep", "--n", "6", "--rank", "2", "--trials", "1"],
+])
+def test_unknown_eta_selector_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--eta", "autox"])
+    assert exc.value.code == 2
+    assert "auto_rho" in capsys.readouterr().err
+
+
+def test_sweep_diverging_cell_is_flagged_not_warned():
+    # pytest turns every RuntimeWarning into an error (pyproject.toml), so
+    # an overflow while scoring the diverged iterate would fail this test.
+    rows = run_sweep(SweepConfig(n=6, r=2, losses=("mse",),
+                                 eps_grid=(0.5, 0.9), trials=1, eta=1e3,
+                                 max_iters=200))
+    assert [r.flags for r in rows] == ["non_finite", "non_finite"]
+    assert all(r.real_error == math.inf for r in rows)

@@ -58,10 +58,6 @@ class TestStepSizeBound:
         assert step_size_summary_rule("mse", 4.0, 2.0) == 1.0 / 48.0
         assert step_size_summary_rule("kernel", 4.0, 2.0, h=0.5) == 0.25 / 48.0
 
-    def test_cw_derivation(self):
-        ci = ConvergenceBoundInputs(rho=1.0, rank=1, sigma_r_Mw=2.0)
-        assert ci.c_w == pytest.approx(math.sqrt(2 * (SQRT2 - 1)) * 2.0)
-
 
 class TestGradientDescent:
     def test_truth_init_terminates_immediately(self):
@@ -121,7 +117,7 @@ class TestGradientDescent:
                 rho = estimate_rho(spec, inst.op, inst.measurements, 30,
                                    seed + 1, rank=2, scale=scale)
                 ci = ConvergenceBoundInputs(
-                    rho=rho, rank=2, delta=delta, h=spec.h or 1.0,
+                    rho=rho, rank=2, delta=delta,
                     norm_Mw=float(np.linalg.norm(X0 @ X0.T)))
                 res = gradient_descent(inst, spec, SolverConfig(
                     eta=0.5 * step_size_bound(spec, ci), max_iters=400,
@@ -131,8 +127,8 @@ class TestGradientDescent:
 
     def test_auto_kernel_equals_h2_times_auto_mse(self):
         inst = make_instance(8, 2, 120, (2, 1), NoiseModel.gaussian(0.1), seed=7)
-        e_mse = auto_step_size(inst, LossSpec.mse(), "auto_mse", seed=3)
-        e_ker = auto_step_size(inst, LossSpec.kernel(0.7), "auto_kernel", seed=3)
+        e_mse = auto_step_size(inst, LossSpec.mse(), "auto", seed=3)
+        e_ker = auto_step_size(inst, LossSpec.kernel(0.7), "auto", seed=3)
         assert e_ker == pytest.approx(0.49 * e_mse, rel=1e-14)
 
 
