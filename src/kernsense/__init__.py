@@ -18,7 +18,7 @@ from .losses import (LossSpec, grad_M, grad_X, grad_w, hessian_quadratic_form,
 from .optimize import (ConvergenceBoundInputs, SolveResult, SolverConfig,
                        auto_step_size, dist_factor, error_frobenius,
                        gradient_descent, project_rank_r, spectral_init,
-                       step_size_bound, step_size_summary_rule)
+                       step_size_bound)
 from .empirics import (ConstantEstimates, estimate_constants,
                        estimate_lambda12, estimate_rho, estimate_zeta1,
                        estimate_zeta2, finite_diff_check, residual_constants)

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -43,6 +44,12 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 # Sweep engine
 # ---------------------------------------------------------------------------
+
+# Python types a SweepConfig value must have, by the field's declared type
+# (bool is rejected where a number is declared).
+_CONFIG_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
+                 "tuple": tuple, "dict": dict}
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -83,8 +90,16 @@ class SweepConfig:
     out: str = ""
 
     def __post_init__(self):
-        eg = tuple(self.eps_grid)
-        if not all(math.isfinite(e) and e >= 0 for e in eg):
+        for f in dataclasses.fields(self):
+            want = _CONFIG_TYPES.get(f.type)
+            value = getattr(self, f.name)
+            if want is not None and (isinstance(value, bool)
+                                     or not isinstance(value, want)):
+                raise ValueError(f"config key {f.name!r} must be of type "
+                                 f"{f.type}, got {value!r}")
+        eg = self.eps_grid
+        if not all(isinstance(e, numbers.Real) and not isinstance(e, bool)
+                   and math.isfinite(e) and e >= 0 for e in eg):
             raise ValueError(f"eps_grid values must be finite and >= 0, "
                              f"got {eg}")
         if any(b <= a for a, b in zip(eg, eg[1:])):
@@ -382,12 +397,10 @@ def _sweep_config_from_args(args) -> SweepConfig:
         fields["eps_grid"] = tuple(float(x) for x in args.eps.split(","))
     if args.eta is not None:
         fields["eta"] = args.eta
-    if "losses" in fields:
-        fields["losses"] = tuple(fields["losses"])
-    if "eps_grid" in fields:
-        fields["eps_grid"] = tuple(fields["eps_grid"])
-    if "noise_params" in fields:
-        fields["noise_params"] = dict(fields["noise_params"])
+    # JSON has no tuples; other types are checked by SweepConfig.
+    for key in ("losses", "eps_grid"):
+        if isinstance(fields.get(key), list):
+            fields[key] = tuple(fields[key])
     return SweepConfig(**fields)
 
 
@@ -438,13 +451,16 @@ def _cmd_bounds(args) -> int:
         if v is not None:
             fields[name] = v
     hdi_fields = {k: fields.pop(k) for k in _HDI_KEYS if k in fields}
+    missing = [k for k in _HDI_KEYS if k not in hdi_fields]
+    if hdi_fields and missing:
+        raise ValueError(f"high-delta inputs need all of "
+                         f"{', '.join(_HDI_KEYS)}; missing {', '.join(missing)}")
     l_star = fields.pop("l_star", 0.0)
     lambda_mix = fields.pop("lambda_mix", 1.0)
     rho = fields.pop("rho", 1.0)
     rank = fields.pop("rank", 1)
     bi = bd.BoundInputs(**fields)
-    hdi = (bd.HighDeltaInputs(base=bi, **hdi_fields)
-           if len(hdi_fields) == 4 else None)
+    hdi = bd.HighDeltaInputs(base=bi, **hdi_fields) if hdi_fields else None
     report = bd.compute_report(bi, hdi=hdi, l_star=l_star,
                                lambda_mix=lambda_mix, rho=rho, rank=rank)
     if args.out:

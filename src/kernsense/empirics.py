@@ -8,6 +8,15 @@
 # report sampled lower bounds, deterministic in the seed and monotone under
 # nested sample counts (sample i always draws from child seed (seed, i)).
 #
+# Each estimator first draws all its samples, in order and with its guard
+# skips, and stacks them.  The stack goes through one apply_op, and every
+# gradient difference through one adjoint_op of stacked residual-gradient
+# differences (A* is linear: grad(M) - grad(M') = A*(g(r') - g(r)) for
+# grad(M) = -A*(g(r)), r = b - A(M)); only the residual-space loss work is
+# done sample by sample.  Stacked operator calls give each item the same
+# bits whatever else is in the stack (model._OP_BLOCK), so a sample's value,
+# and with it the monotonicity above, never depends on the sample count.
+#
 # Every derivative comes from the residual-space core in losses: exact
 # gradients -A*(g) and Hessian forms <A(K), H A(L)> via hvp_residual.  The
 # noise enters only through the residuals, so the Hessian's noise
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SensingOperator, adjoint_op, apply_op, random_low_rank_symmetric
-from .losses import (MSE, LossSpec, grad_M, grad_X, hvp_residual,
+from .losses import (MSE, LossSpec, grad_residual, grad_X, hvp_residual,
                      kernel_row_means, loss_value, residuals)
 
 __all__ = [
@@ -43,17 +52,23 @@ __all__ = [
 _GUARD = 1e-12
 
 
-def _grad_for_constants(spec: LossSpec, op: SensingOperator, b, M) -> np.ndarray:
+def _residual_grads(spec: LossSpec, r: np.ndarray) -> np.ndarray:
+    """Residual gradients g, row by row of a stack r, with the matrix-space
+    gradient -A*(g(b - A(M))); the MSE takes g = 2r (see the header)."""
     if spec.kind == MSE:
-        return -2.0 * adjoint_op(op, np.asarray(b) - apply_op(op, M))
-    return grad_M(spec, op, b, M)
+        return 2.0 * r
+    return np.array([grad_residual(spec, row) for row in r])
 
 
-def _hess_gap(spec: LossSpec, op: SensingOperator, r1, r2, K, L) -> float:
+def _grad_gaps(spec: LossSpec, op: SensingOperator, r1, r2) -> np.ndarray:
+    """grad at r1 minus grad at r2, per row of the residual stacks: by
+    linearity of A*, -A*(g(r1)) + A*(g(r2)) = A*(g(r2) - g(r1))."""
+    return adjoint_op(op, _residual_grads(spec, r2) - _residual_grads(spec, r1))
+
+
+def _hess_gap(spec: LossSpec, r1, r2, ak, al) -> float:
     """[Hess L(r1) - Hess L(r2)](K, L) = <A(K), (H(r1) - H(r2)) A(L)>."""
-    al = apply_op(op, L)
-    return float(apply_op(op, K) @ (hvp_residual(spec, r1, al)
-                                    - hvp_residual(spec, r2, al)))
+    return float(ak @ (hvp_residual(spec, r1, al) - hvp_residual(spec, r2, al)))
 
 
 def _sample_noise_dir(rng, m: int, mag_range) -> np.ndarray:
@@ -74,24 +89,30 @@ def _sample_noise_dir(rng, m: int, mag_range) -> np.ndarray:
 
 def _noise_samples(op: SensingOperator, b, M_base, samples: int, seed: int,
                    mag_range, scale: float, rank: int, dirs: int):
-    """(M, directions, w, ||w||) per sample of the zeta estimators; samples
-    with ||w|| below the guard are skipped."""
+    """Stacks (matrices, w, ||w||) of the zeta estimators' kept samples:
+    matrices[i] holds M and then `dirs` directions; samples with ||w|| below
+    the guard are skipped.  None when every sample is skipped."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if mag_range is None:
         mag_range = (1e-3, max(float(np.linalg.norm(b)), 1e-3))
     M_base = np.asarray(M_base, dtype=float)
     k = max(1, min(op.n, rank))
+    kept = []
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
         M = M_base + scale * rng.uniform(0.0, 1.0) * \
             random_low_rank_symmetric(op.n, k, rng)
-        directions = [random_low_rank_symmetric(op.n, k, rng)
+        mats = [M] + [random_low_rank_symmetric(op.n, k, rng)
                       for _ in range(dirs)]
         w = _sample_noise_dir(rng, op.m, mag_range)
         nw = np.linalg.norm(w)
         if nw >= _GUARD:
-            yield M, directions, w, nw
+            kept.append((mats, w, nw))
+    if not kept:
+        return None
+    mats, w, nw = zip(*kept)
+    return np.array(mats), np.array(w), nw
 
 
 def estimate_zeta1(spec: LossSpec, op: SensingOperator, b, M_base,
@@ -104,13 +125,15 @@ def estimate_zeta1(spec: LossSpec, op: SensingOperator, b, M_base,
     low-rank directions.  Samples with ||w|| below the guard are skipped;
     if everything is skipped the estimate is 0.
     """
-    best = 0.0
-    for M, (K,), w, nw in _noise_samples(op, b, M_base, samples, seed,
-                                         mag_range, scale, rank, 1):
-        diff = _grad_for_constants(spec, op, np.asarray(b) + w, M) \
-            - _grad_for_constants(spec, op, b, M)
-        best = max(best, abs(float(np.sum(diff * K))) / nw)
-    return best
+    stacks = _noise_samples(op, b, M_base, samples, seed, mag_range, scale,
+                            rank, 1)
+    if stacks is None:
+        return 0.0
+    mats, w, nw = stacks
+    r = np.asarray(b) - apply_op(op, mats[:, 0])
+    gaps = _grad_gaps(spec, op, r + w, r)
+    return max(abs(float(np.sum(gap * K))) / norm
+               for gap, K, norm in zip(gaps, mats[:, 1], nw))
 
 
 def estimate_zeta2(spec: LossSpec, op: SensingOperator, b, M_base,
@@ -120,12 +143,15 @@ def estimate_zeta2(spec: LossSpec, op: SensingOperator, b, M_base,
     in estimate_zeta1.  For the MSE the Hessian is 2 A*A independent of the
     measurements, so the difference is exactly zero.
     """
-    best = 0.0
-    for M, (K, L), w, nw in _noise_samples(op, b, M_base, samples, seed,
-                                           mag_range, scale, rank, 2):
-        r = np.asarray(b) - apply_op(op, M)
-        best = max(best, abs(_hess_gap(spec, op, r + w, r, K, L)) / nw)
-    return best
+    stacks = _noise_samples(op, b, M_base, samples, seed, mag_range, scale,
+                            rank, 2)
+    if stacks is None:
+        return 0.0
+    mats, w, nw = stacks
+    a = apply_op(op, mats)                  # rows A(M), A(K), A(L)
+    r = np.asarray(b) - a[:, 0]
+    return max(abs(_hess_gap(spec, ri + wi, ri, ak, al)) / norm
+               for ri, wi, ak, al, norm in zip(r, w, a[:, 1], a[:, 2], nw))
 
 
 def estimate_rho(spec: LossSpec, op: SensingOperator, b, samples: int,
@@ -141,8 +167,7 @@ def estimate_rho(spec: LossSpec, op: SensingOperator, b, samples: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rank = max(1, min(rank, op.n))
-    best = 0.0
-    used = 0
+    pairs = []
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
         s = math.exp(rng.uniform(math.log(1e-2), math.log(max(scale, 1e-2))))
@@ -154,15 +179,14 @@ def estimate_rho(spec: LossSpec, op: SensingOperator, b, samples: int,
         M = s * random_low_rank_symmetric(op.n, rank, rng)
         Mp = M + t * random_low_rank_symmetric(op.n, rank, rng)
         dn = np.linalg.norm(M - Mp)
-        if dn < _GUARD:
-            continue
-        used += 1
-        diff = _grad_for_constants(spec, op, b, M) \
-            - _grad_for_constants(spec, op, b, Mp)
-        best = max(best, float(np.linalg.norm(diff)) / dn)
-    if used == 0:
+        if dn >= _GUARD:
+            pairs.append(((M, Mp), dn))
+    if not pairs:
         raise ValueError("all sampled pairs were degenerate (M' == M)")
-    return best
+    mats, dn = zip(*pairs)
+    r = np.asarray(b) - apply_op(op, np.array(mats))
+    gaps = _grad_gaps(spec, op, r[:, 0], r[:, 1])
+    return max(float(np.linalg.norm(gap)) / d for gap, d in zip(gaps, dn))
 
 
 def estimate_lambda12(spec: LossSpec, op: SensingOperator, b, M,
@@ -179,24 +203,25 @@ def estimate_lambda12(spec: LossSpec, op: SensingOperator, b, M,
         mag_range = (1e-3, max(float(np.linalg.norm(b)), 1e-3))
     M = np.asarray(M, dtype=float)
     r = np.asarray(b) - apply_op(op, M)
-    lam1 = 0.0
-    lam2 = 0.0
+    k = max(1, min(op.n, rank))
+    kept = []
     for i in range(samples):
         rng = np.random.default_rng([seed, i])
         w1 = _sample_noise_dir(rng, op.m, mag_range)
         w2 = _sample_noise_dir(rng, op.m, mag_range)
         dw = np.linalg.norm(w1 - w2)
-        if dw < _GUARD:
-            continue
-        b1 = np.asarray(b) + w1
-        b2 = np.asarray(b) + w2
-        g1 = _grad_for_constants(spec, op, b1, M)
-        g2 = _grad_for_constants(spec, op, b2, M)
-        lam1 = max(lam1, float(np.linalg.norm(g1 - g2)) / dw)
-        k = max(1, min(op.n, rank))
-        K = random_low_rank_symmetric(op.n, k, rng)
-        L = random_low_rank_symmetric(op.n, k, rng)
-        lam2 = max(lam2, abs(_hess_gap(spec, op, r + w1, r + w2, K, L)) / dw)
+        if dw >= _GUARD:
+            KL = [random_low_rank_symmetric(op.n, k, rng) for _ in range(2)]
+            kept.append(((r + w1, r + w2), KL, dw))
+    if not kept:
+        return 0.0, 0.0
+    rw, dirs, dw = zip(*kept)
+    rw = np.array(rw)
+    gaps = _grad_gaps(spec, op, rw[:, 0], rw[:, 1])
+    a = apply_op(op, np.array(dirs))        # rows A(K), A(L)
+    lam1 = max(float(np.linalg.norm(gap)) / d for gap, d in zip(gaps, dw))
+    lam2 = max(abs(_hess_gap(spec, r1, r2, ak, al)) / d
+               for (r1, r2), (ak, al), d in zip(rw, a, dw))
     return lam1, lam2
 
 

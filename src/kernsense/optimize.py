@@ -8,6 +8,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,7 +25,6 @@ __all__ = [
     "SolveResult",
     "ConvergenceBoundInputs",
     "step_size_bound",
-    "step_size_summary_rule",
     "spectral_init",
     "auto_step_size",
     "gradient_descent",
@@ -91,20 +91,6 @@ def step_size_bound(spec: LossSpec, inputs: ConvergenceBoundInputs) -> float:
     return min(base, spec.h ** 2 * base)
 
 
-def step_size_summary_rule(kind: str, rho: float, c0: float,
-                           h: float = 1.0) -> float:
-    """Compressed step rule eta <= h^2 / (12 sqrt(rho) C0).
-
-    Kept separate from step_size_bound: the full derivation carries rho (no
-    square root) times sqrt(r), while this shorthand compresses everything
-    past sqrt(rho) into a single constant C0.
-    """
-    if rho <= 0 or c0 <= 0:
-        raise ValueError("rho and c0 must be > 0")
-    base = 1.0 / (12.0 * math.sqrt(rho) * c0)
-    return h ** 2 * base if kind == KERNEL else base
-
-
 # Step-size selectors resolved by auto_step_size:
 #   "auto"      theory step from step_size_bound with a shared rho estimate
 #               of the quadratic structure (the kernel value is exactly h^2
@@ -122,8 +108,9 @@ def check_eta(eta) -> None:
             raise ValueError(f"unknown eta selector {eta!r}; expected a "
                              f"positive number or one of "
                              f"{', '.join(ETA_SELECTORS)}")
-    elif not eta > 0:
-        raise ValueError("explicit eta must be > 0")
+    elif isinstance(eta, bool) or not (isinstance(eta, numbers.Real)
+                                       and eta > 0):
+        raise ValueError(f"explicit eta must be a number > 0, got {eta!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,55 @@ def test_config_unknown_key_exit_two(tmp, capsys, command, doc, key):
     assert not (tmp / "out").exists()
 
 
+@pytest.mark.parametrize("doc,key", [
+    ({"trials": "3"}, "trials"),
+    ({"trials": True}, "trials"),
+    ({"n": 6.5}, "n"),
+    ({"h": "0.5"}, "h"),
+    ({"losses": "mse"}, "losses"),
+    ({"eps_grid": 0.5}, "eps_grid"),
+    ({"eps_grid": [0.4, "0.8"]}, "eps_grid"),
+    ({"noise_kind": ["gaussian"]}, "noise_kind"),
+    ({"noise_params": [1.0]}, "noise_params"),
+    ({"eta": [0.1]}, "eta"),
+])
+def test_sweep_config_wrong_type_exit_two(tmp, capsys, doc, key):
+    cfg_file = tmp / "cfg.json"
+    cfg_file.write_text(json.dumps({"n": 6, "r": 2, "trials": 1, **doc}))
+    code = main(["sweep", "--config", str(cfg_file),
+                 "--out", str(tmp / "out.csv")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp / "out.csv").exists()
+
+
+@pytest.mark.parametrize("given", [("norm_q", "lambda_rstar"), ("gamma_min",)])
+def test_bounds_partial_high_delta_inputs_exit_two(tmp, capsys, given):
+    cfg_file = tmp / "cfg.json"
+    cfg_file.write_text(json.dumps({"delta": 0.2, **{k: 1.0 for k in given}}))
+    code = main(["bounds", "--config", str(cfg_file),
+                 "--out", str(tmp / "rep.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    missing = [k for k in ("lambda_rstar", "norm_q", "gamma_min", "u_min_sq")
+               if k not in given]
+    assert all(k in err for k in missing)
+    assert not any(k in err.split("missing")[-1] for k in given)
+    assert not (tmp / "rep.json").exists()
+
+
+def test_bounds_full_high_delta_inputs(tmp):
+    cfg_file = tmp / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "delta": 0.6, "eps": 0.3, "zeta2": 1.0, "lambda_rstar": 0.5,
+        "norm_q": 1.0, "gamma_min": 1.0, "u_min_sq": 0.0}))
+    assert main(["bounds", "--config", str(cfg_file),
+                 "--out", str(tmp / "rep.json")]) == 0
+    values = json.loads((tmp / "rep.json").read_text())["values"]
+    assert math.isfinite(values["high_delta_upper"])
+    assert "high_delta_order" not in values
+
+
 @pytest.mark.parametrize("grid", ["0.4,nan", "0.4,inf", "-0.4,0.8"])
 def test_sweep_bad_eps_grid_exit_two(tmp, capsys, grid):
     code = main(["sweep", f"--eps={grid}", "--n", "6", "--rank", "2",

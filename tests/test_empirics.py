@@ -7,9 +7,12 @@ from kernsense.empirics import (ConstantEstimates, estimate_constants,
                                 estimate_lambda12, estimate_rho,
                                 estimate_zeta1, estimate_zeta2,
                                 finite_diff_check, residual_constants)
-from kernsense.losses import LossSpec, grad_X
-from kernsense.model import (NoiseModel, estimate_rip, make_instance,
-                             orthonormal_basis_operator)
+from kernsense.losses import (_FGT_MIN_M, MSE, LossSpec, grad_M, grad_X,
+                              hvp_residual)
+from kernsense.model import (_OP_BLOCK, NoiseModel, adjoint_op, apply_op,
+                             estimate_rip, make_instance,
+                             orthonormal_basis_operator,
+                             random_low_rank_symmetric)
 
 
 @pytest.fixture(scope="module")
@@ -176,3 +179,157 @@ class TestConstantEstimates:
         keys = set(json.loads(text))
         assert keys == {"zeta1", "zeta2", "rho", "lambda1", "lambda2",
                         "g_min", "b_max", "l1", "l2", "samples", "seed"}
+
+
+# ---------------------------------------------------------------------------
+# Per-sample reference: the estimators as written before sampling was
+# stacked.  Every sample makes its own apply_op/adjoint_op calls and every
+# gradient its own A(M).
+# ---------------------------------------------------------------------------
+
+def _ref_grad(spec, op, b, M):
+    if spec.kind == MSE:
+        return -2.0 * adjoint_op(op, np.asarray(b) - apply_op(op, M))
+    return grad_M(spec, op, b, M)
+
+
+def _ref_hess_gap(spec, op, r1, r2, K, L):
+    al = apply_op(op, L)
+    return float(apply_op(op, K) @ (hvp_residual(spec, r1, al)
+                                    - hvp_residual(spec, r2, al)))
+
+
+def _ref_noise_dir(rng, m, mag_range):
+    lo, hi = mag_range
+    v = rng.standard_normal(m)
+    v /= np.linalg.norm(v)
+    if hi <= 0:
+        return 0.0 * v
+    mag = math.exp(rng.uniform(math.log(max(lo, 1e-12)), math.log(hi)))
+    return mag * v
+
+
+def _ref_noise_samples(op, b, M_base, samples, seed, scale, rank, dirs):
+    mag_range = (1e-3, max(float(np.linalg.norm(b)), 1e-3))
+    k = max(1, min(op.n, rank))
+    for i in range(samples):
+        rng = np.random.default_rng([seed, i])
+        M = M_base + scale * rng.uniform(0.0, 1.0) * \
+            random_low_rank_symmetric(op.n, k, rng)
+        directions = [random_low_rank_symmetric(op.n, k, rng)
+                      for _ in range(dirs)]
+        w = _ref_noise_dir(rng, op.m, mag_range)
+        nw = np.linalg.norm(w)
+        if nw >= 1e-12:
+            yield M, directions, w, nw
+
+
+def _ref_zeta1(spec, op, b, M_base, samples, seed, scale, rank):
+    best = 0.0
+    for M, (K,), w, nw in _ref_noise_samples(op, b, M_base, samples, seed,
+                                             scale, rank, 1):
+        diff = _ref_grad(spec, op, np.asarray(b) + w, M) \
+            - _ref_grad(spec, op, b, M)
+        best = max(best, abs(float(np.sum(diff * K))) / nw)
+    return best
+
+
+def _ref_zeta2(spec, op, b, M_base, samples, seed, scale, rank):
+    best = 0.0
+    for M, (K, L), w, nw in _ref_noise_samples(op, b, M_base, samples, seed,
+                                               scale, rank, 2):
+        r = np.asarray(b) - apply_op(op, M)
+        best = max(best, abs(_ref_hess_gap(spec, op, r + w, r, K, L)) / nw)
+    return best
+
+
+def _ref_rho(spec, op, b, samples, seed, rank, scale):
+    best = 0.0
+    for i in range(samples):
+        rng = np.random.default_rng([seed, i])
+        s = math.exp(rng.uniform(math.log(1e-2), math.log(max(scale, 1e-2))))
+        t = math.exp(rng.uniform(math.log(1e-3), math.log(1.0)))
+        M = s * random_low_rank_symmetric(op.n, rank, rng)
+        Mp = M + t * random_low_rank_symmetric(op.n, rank, rng)
+        dn = np.linalg.norm(M - Mp)
+        if dn < 1e-12:
+            continue
+        diff = _ref_grad(spec, op, b, M) - _ref_grad(spec, op, b, Mp)
+        best = max(best, float(np.linalg.norm(diff)) / dn)
+    return best
+
+
+def _ref_lambda12(spec, op, b, M, samples, seed, rank):
+    mag_range = (1e-3, max(float(np.linalg.norm(b)), 1e-3))
+    r = np.asarray(b) - apply_op(op, M)
+    lam1 = lam2 = 0.0
+    for i in range(samples):
+        rng = np.random.default_rng([seed, i])
+        w1 = _ref_noise_dir(rng, op.m, mag_range)
+        w2 = _ref_noise_dir(rng, op.m, mag_range)
+        dw = np.linalg.norm(w1 - w2)
+        if dw < 1e-12:
+            continue
+        g1 = _ref_grad(spec, op, np.asarray(b) + w1, M)
+        g2 = _ref_grad(spec, op, np.asarray(b) + w2, M)
+        lam1 = max(lam1, float(np.linalg.norm(g1 - g2)) / dw)
+        k = max(1, min(op.n, rank))
+        K = random_low_rank_symmetric(op.n, k, rng)
+        L = random_low_rank_symmetric(op.n, k, rng)
+        lam2 = max(lam2, abs(_ref_hess_gap(spec, op, r + w1, r + w2, K, L)) / dw)
+    return lam1, lam2
+
+
+def _ref_rip(op, rank, trials, seed):
+    return max(abs(float(np.sum(apply_op(op, random_low_rank_symmetric(
+        op.n, rank, np.random.default_rng([seed, t]))) ** 2)) - 1.0)
+        for t in range(trials))
+
+
+SPECS = [LossSpec.mse(), LossSpec.kernel(0.8), LossSpec.combined(0.3, 0.8)]
+
+
+class TestStackedSampling:
+    """Stacked estimators against the per-sample reference above, and the
+    nested-count contract of the module header under operator blocking."""
+
+    # m = 60 runs the dense kernel sums, m = 2 _FGT_MIN_M the fast transform;
+    # 40 samples span three operator blocks.
+    @pytest.mark.parametrize("m", [60, 2 * _FGT_MIN_M])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+    def test_matches_per_sample_reference(self, spec, m):
+        inst = make_instance(6, 2, m, (2.0, 1.0), NoiseModel.gaussian(0.1),
+                             seed=21)
+        op, b, M = inst.op, inst.measurements, inst.truth.matrix
+        k = 40
+        pairs = [
+            (estimate_zeta1(spec, op, b, M, k, 22, scale=2.0, rank=4),
+             _ref_zeta1(spec, op, b, M, k, 22, 2.0, 4)),
+            (estimate_zeta2(spec, op, b, M, k, 23, scale=2.0, rank=4),
+             _ref_zeta2(spec, op, b, M, k, 23, 2.0, 4)),
+            (estimate_rho(spec, op, b, k, 24, rank=2, scale=2.0),
+             _ref_rho(spec, op, b, k, 24, 2, 2.0)),
+            *zip(estimate_lambda12(spec, op, b, M, k, 25, rank=4),
+                 _ref_lambda12(spec, op, b, M, k, 25, 4)),
+            (estimate_rip(op, 4, k, 26).delta_hat, _ref_rip(op, 4, k, 26)),
+        ]
+        for got, ref in pairs:
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("spec", SPECS[:2], ids=lambda s: s.kind)
+    def test_exactly_monotone_in_sample_count(self, spec, inst):
+        op, b, M = inst.op, inst.measurements, inst.truth.matrix
+        counts = range(1, 2 * _OP_BLOCK + 2)
+        runs = {
+            "zeta1": [estimate_zeta1(spec, op, b, M, k, 40) for k in counts],
+            "zeta2": [estimate_zeta2(spec, op, b, M, k, 41) for k in counts],
+            "rho": [estimate_rho(spec, op, b, k, 42, scale=2.0)
+                    for k in counts],
+            "lambda1": [estimate_lambda12(spec, op, b, M, k, 43)[0]
+                        for k in counts],
+            "lambda2": [estimate_lambda12(spec, op, b, M, k, 43)[1]
+                        for k in counts],
+            "rip": [estimate_rip(op, 2, k, 44).delta_hat for k in counts],
+        }
+        for name, values in runs.items():
+            assert all(a <= b for a, b in zip(values, values[1:])), name

@@ -382,7 +382,9 @@ class TestHessianNoiseGap:
         f2 = fd_hess_form(spec, inst.op, b2, M, K, L)
         tol = 1e-5 * max(abs(f1), abs(f2))
         r2 = b2 - apply_op(inst.op, M)
-        assert abs(_hess_gap(spec, inst.op, r2 + w, r2, K, L) - (f1 - f2)) <= tol
+        gap = _hess_gap(spec, r2 + w, r2, apply_op(inst.op, K),
+                        apply_op(inst.op, L))
+        assert abs(gap - (f1 - f2)) <= tol
         form = float(np.sum(K * hessian_vector_product(spec, inst.op, b1, M, L)))
         assert abs(form - f1) <= tol
 

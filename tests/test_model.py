@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kernsense.model import (NoiseModel, SensingOperator, adjoint_op, apply_op,
+from kernsense.model import (_OP_BLOCK, NoiseModel, SensingOperator,
+                             adjoint_op, apply_op,
                              estimate_rip, full_rank_defect,
                              gen_gaussian_operator, gen_ground_truth,
                              instance_from_json, instance_to_json,
@@ -160,6 +163,115 @@ class TestPackedOperator:
             SensingOperator.from_mats(np.zeros((4, 3, 2)))
         with pytest.raises(ValueError):
             SensingOperator(n=3, m=4, P=np.zeros((4, 9)))  # unpacked width
+
+
+def _packed(M):
+    """M's upper triangle in np.triu_indices order, off-diagonals M_ab + M_ba."""
+    iu = np.triu_indices(M.shape[0])
+    x = (M + M.T)[iu]
+    x[iu[0] == iu[1]] = M.diagonal()
+    return x
+
+
+# Batch shapes: none, one axis across several operator blocks (the last one
+# partial), or two axes.
+BATCHES = st.one_of(st.just(()),
+                    st.tuples(st.integers(0, 2 * _OP_BLOCK + 1)),
+                    st.tuples(st.integers(1, 5), st.integers(0, 4)))
+
+
+class TestBatchAxis:
+    """apply_op on (..., n, n) stacks and adjoint_op on (..., m) stacks.
+
+    Tolerances are relative to ||P||_F times the input norm, which bounds
+    every output entry, so they do not depend on cancellation in a result.
+    """
+
+    @staticmethod
+    def _case(n, m, batch, seed):
+        rng = np.random.default_rng(seed)
+        op = gen_gaussian_operator(n, m, seed)
+        Ms = rng.standard_normal(batch + (n, n))
+        return op, Ms, rng.standard_normal(batch + (m,)), rng
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(1, 7), m=st.integers(1, 40), batch=BATCHES,
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_matches_per_item_calls(self, n, m, batch, seed):
+        op, Ms, vs, _ = self._case(n, m, batch, seed)
+        am, av = apply_op(op, Ms), adjoint_op(op, vs)
+        assert am.shape == batch + (m,) and av.shape == batch + (n, n)
+        p = np.linalg.norm(op.P)
+        for idx in np.ndindex(*batch):
+            ref = apply_op(op, Ms[idx])
+            assert (np.linalg.norm(am[idx] - ref)
+                    <= 1e-13 * p * np.linalg.norm(Ms[idx]))
+            ref = adjoint_op(op, vs[idx])
+            assert (np.linalg.norm(av[idx] - ref)
+                    <= 1e-13 * p * np.linalg.norm(vs[idx]))
+            assert np.array_equal(av[idx], av[idx].T)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(1, 7), m=st.integers(1, 40), batch=BATCHES,
+           seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_identity_and_linearity(self, n, m, batch, seed):
+        op, Ms, vs, rng = self._case(n, m, batch, seed)
+        p = np.linalg.norm(op.P)
+        lhs = np.sum(apply_op(op, Ms) * vs, axis=-1)
+        rhs = np.sum(Ms * adjoint_op(op, vs), axis=(-2, -1))
+        scale = p * np.linalg.norm(Ms, axis=(-2, -1)) * np.linalg.norm(vs, axis=-1)
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * scale)
+        a, c = rng.standard_normal(2)
+        Ns, us = rng.standard_normal(Ms.shape), rng.standard_normal(vs.shape)
+        both = apply_op(op, a * Ms + c * Ns)
+        each = a * apply_op(op, Ms) + c * apply_op(op, Ns)
+        norm = np.linalg.norm(np.abs(a) * np.abs(Ms) + np.abs(c) * np.abs(Ns))
+        assert np.linalg.norm(both - each) <= 1e-13 * p * norm
+        both = adjoint_op(op, a * vs + c * us)
+        each = a * adjoint_op(op, vs) + c * adjoint_op(op, us)
+        norm = np.linalg.norm(np.abs(a) * np.abs(vs) + np.abs(c) * np.abs(us))
+        assert np.linalg.norm(both - each) <= 1e-13 * p * norm
+
+    @pytest.mark.parametrize("n,m", PACKED_SIZES)
+    def test_single_item_is_one_matrix_vector_product(self, n, m):
+        op = gen_gaussian_operator(n, m, seed=30)
+        rng = np.random.default_rng(31)
+        M = rng.standard_normal((n, n))
+        assert np.array_equal(apply_op(op, M), op.P @ _packed(M))
+        v = rng.standard_normal(m)
+        full = np.triu_indices(n)
+        got = adjoint_op(op, v)
+        assert np.array_equal(got[full], v @ op.P)
+        assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize("n,m", [(2, 5), (7, 60)])
+    def test_item_bits_independent_of_stack(self, n, m):
+        # BLAS rounds a row of a product differently depending on how many
+        # rows share the call; blocking must hide that from the caller.
+        op = gen_gaussian_operator(n, m, seed=32)
+        rng = np.random.default_rng(33)
+        k = 2 * _OP_BLOCK + 1
+        Ms, vs = rng.standard_normal((k, n, n)), rng.standard_normal((k, m))
+        am, av = apply_op(op, Ms), adjoint_op(op, vs)
+        for h in range(1, k + 1):
+            assert np.array_equal(apply_op(op, Ms[:h]), am[:h])
+            assert np.array_equal(adjoint_op(op, vs[:h]), av[:h])
+        junk_M = Ms.copy()
+        junk_M[1:] = 1e6 * rng.standard_normal(junk_M[1:].shape)
+        junk_v = vs.copy()
+        junk_v[1:] = np.nan
+        assert np.array_equal(apply_op(op, junk_M)[0], am[0])
+        assert np.array_equal(adjoint_op(op, junk_v)[0], av[0])
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 4), (4, 3), (2, 3, 4),
+                                       (2, 4, 3), (4,)])
+    def test_wrong_trailing_shape_raises(self, shape):
+        op = gen_gaussian_operator(3, 5, seed=34)
+        with pytest.raises(ValueError):
+            apply_op(op, np.zeros(shape))
+        bad_v = shape if shape != (4,) else (2, 6)
+        with pytest.raises(ValueError):
+            adjoint_op(op, np.zeros(bad_v))
 
 
 class TestRipEstimate:

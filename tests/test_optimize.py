@@ -9,8 +9,7 @@ from kernsense.model import (NoiseModel, estimate_rip, make_instance)
 from kernsense.optimize import (ConvergenceBoundInputs, SolverConfig,
                                 auto_step_size, dist_factor, error_frobenius,
                                 gradient_descent, project_rank_r,
-                                spectral_init, step_size_bound,
-                                step_size_summary_rule, trace_csv)
+                                spectral_init, step_size_bound, trace_csv)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -53,10 +52,6 @@ class TestStepSizeBound:
                                     eps=0.6)
         with pytest.raises(ValueError):
             step_size_bound(LossSpec.mse(), ci)
-
-    def test_summary_rule_shorthand(self):
-        assert step_size_summary_rule("mse", 4.0, 2.0) == 1.0 / 48.0
-        assert step_size_summary_rule("kernel", 4.0, 2.0, h=0.5) == 0.25 / 48.0
 
 
 class TestGradientDescent:
