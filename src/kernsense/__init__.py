@@ -11,10 +11,9 @@ from .model import (GroundTruth, NoiseModel, ProblemInstance, RipEstimate,
                     gen_gaussian_operator, gen_ground_truth,
                     instance_from_json, instance_to_json, make_instance,
                     orthonormal_basis_operator, prob_norm_bound, sample_noise)
-from .losses import (LossSpec, grad_M, grad_X, grad_w, hessian_quadratic_form,
-                     hessian_vector_product, kernel_grad_residual,
-                     lambda_min_hessian, loss_value, residuals,
-                     weighted_residual_mean)
+from .losses import (LossSpec, grad_M, grad_X, grad_residual,
+                     hessian_quadratic_form, hessian_vector_product,
+                     lambda_min_hessian, loss_value, residuals)
 from .optimize import (ConvergenceBoundInputs, SolveResult, SolverConfig,
                        auto_step_size, dist_factor, error_frobenius,
                        gradient_descent, project_rank_r, spectral_init,

@@ -4,16 +4,17 @@
 # such calculator here uses implied constant 1 and its output should be read
 # as an order bound: good for trend comparison (monotonicity, crossings,
 # flatness), not a certified envelope.  Exponents are kept exactly as the
-# formulas state them; where a noise factor carries exp(-eps^2) with no
-# bandwidth in the exponent, a dimensionally consistent exp(-eps^2/h^2)
-# variant is available behind a flag but is never the default.
+# formulas state them.
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
+
+from .losses import LossSpec
+from .optimize import ConvergenceBoundInputs, step_size_bound
 
 __all__ = [
     "PEAK_EPS",
@@ -137,17 +138,15 @@ def kernel_lambda_min_floor(bi: BoundInputs) -> float:
         + (4.0 / (g * g * h ** 4)) * b * b * l1 * l1
 
 
-def kernel_error_upper(bi: BoundInputs, h_scaled_exponent: bool = False) -> float:
+def kernel_error_upper(bi: BoundInputs) -> float:
     """max( sqrt(2/lambda_min), 2(1+delta) R / (1 - delta - lambda_min) )
 
-    with R = eps * exp(-eps^2) / h^2 (bare exponent; pass
-    h_scaled_exponent=True for exp(-eps^2/h^2)).  The noise term is clamped
-    to zero when its denominator is not positive.
+    with R = eps * exp(-eps^2) / h^2 (bare exponent).  The noise term is
+    clamped to zero when its denominator is not positive.
     """
     if bi.lambda_min <= 0:
         raise ValueError("kernel_error_upper needs lambda_min > 0")
-    expo = -(bi.eps ** 2) / (bi.h ** 2 if h_scaled_exponent else 1.0)
-    r_w = bi.eps * math.exp(expo) / (bi.h ** 2)
+    r_w = bi.eps * math.exp(-(bi.eps ** 2)) / (bi.h ** 2)
     denom = 1.0 - bi.delta - bi.lambda_min
     term2 = 2.0 * (1.0 + bi.delta) * r_w / denom if denom > 0 else 0.0
     return max(math.sqrt(2.0 / bi.lambda_min), term2)
@@ -415,9 +414,6 @@ def compute_report(bi: BoundInputs, hdi: Optional[HighDeltaInputs] = None,
                    rho: float = 1.0, rank: int = 1) -> BoundReport:
     """Evaluate every calculator, recording per-calculator precondition
     failures instead of aborting the report."""
-    from .losses import LossSpec
-    from .optimize import ConvergenceBoundInputs, step_size_bound
-
     values, errors, flags = {}, {}, {}
 
     def attempt(name, fn):

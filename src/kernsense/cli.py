@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bounds as bd
 from .empirics import estimate_lambda12, estimate_rho, residual_constants
-from .losses import LossSpec, lambda_min_hessian, loss_value
+from .losses import KERNEL, LOSS_KINDS, MSE, LossSpec, lambda_min_hessian
 from .model import (NoiseModel, ProblemInstance, apply_op, estimate_rip,
                     instance_from_json, instance_to_json, make_instance,
                     prob_norm_bound)
@@ -71,7 +71,7 @@ class SweepConfig:
 
     n: int = 40
     r: int = 5
-    losses: tuple = ("mse", "kernel", "combined")
+    losses: tuple = LOSS_KINDS
     h: float = 1.0
     lambda_mix: float = 0.5
     eps_grid: tuple = (0.5, 0.6, 0.7, 0.8, 0.9)
@@ -110,7 +110,7 @@ class SweepConfig:
             raise ValueError("delta_regime must be 'low' or 'high'")
         check_eta(self.eta)
         for k in self.losses:
-            if k not in ("mse", "kernel", "combined"):
+            if k not in LOSS_KINDS:
                 raise ValueError(f"unknown loss {k!r}")
 
     @property
@@ -120,12 +120,14 @@ class SweepConfig:
         factor = 10 if self.delta_regime == "low" else 2
         return factor * self.n * self.r
 
-    def loss_spec(self, kind: str) -> LossSpec:
-        if kind == "mse":
-            return LossSpec.mse()
-        if kind == "kernel":
-            return LossSpec.kernel(self.h)
-        return LossSpec.combined(self.lambda_mix, self.h)
+
+def _loss_spec(kind: str, h: float, lambda_mix: float) -> LossSpec:
+    """The LossSpec of a loss kind; h and lambda_mix apply where it has them."""
+    if kind == MSE:
+        return LossSpec.mse()
+    if kind == KERNEL:
+        return LossSpec.kernel(h)
+    return LossSpec.combined(lambda_mix, h)
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ def _run_cell(config: SweepConfig, loss_kind: str, eps: float, trial: int,
     """One (loss, eps, trial) cell: solve, then constants and the bound."""
     inst0, direction, delta = base
     inst = _at_eps(inst0, direction, eps)
-    spec = config.loss_spec(loss_kind)
+    spec = _loss_spec(loss_kind, config.h, config.lambda_mix)
     flags = []
 
     res = gradient_descent(inst, spec, SolverConfig(
@@ -199,9 +201,9 @@ def _run_cell(config: SweepConfig, loss_kind: str, eps: float, trial: int,
     g_min, b_max = residual_constants(inst.noise, config.h)
     bound = math.nan
     try:
-        if loss_kind == "mse":
+        if loss_kind == MSE:
             bound = bd.mse_error_upper(bd.BoundInputs(delta=delta, eps=eps))
-        elif loss_kind == "kernel":
+        elif loss_kind == KERNEL:
             bi = bd.BoundInputs(delta=delta, eps=eps, h=config.h,
                                 g_min=g_min, b_max=b_max,
                                 lambda_min=lam_min.value)
@@ -239,17 +241,18 @@ def run_sweep(config: SweepConfig) -> list:
         for loss in config.losses:
             if isinstance(config.eta, str):
                 etas[(loss, t)] = auto_step_size(
-                    inst_top, config.loss_spec(loss), config.eta,
+                    inst_top, _loss_spec(loss, config.h, config.lambda_mix),
+                    config.eta,
                     seed=_trial_seed(config.base_seed, t, 6), rho_samples=16)
             else:
                 etas[(loss, t)] = float(config.eta)
-        if "kernel" in config.losses:
+        if KERNEL in config.losses:
             # Measured once per trial at the top of the grid: the smallest
             # Hessian eigenvalue at the truth moves by well under a percent
             # across the grid (the weights see only the residual spread),
             # so per-cell re-measurement buys nothing but runtime.
             lam_meas[t] = lambda_min_hessian(
-                config.loss_spec("kernel"), inst_top.op,
+                LossSpec.kernel(config.h), inst_top.op,
                 inst_top.measurements, inst_top.truth.matrix,
                 iters=LAMBDA_MIN_ITERS,
                 seed=_trial_seed(config.base_seed, t, 5))
@@ -323,17 +326,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _loss_spec_from_args(args) -> LossSpec:
-    if args.loss == "mse":
-        return LossSpec.mse(args.mse_norm)
-    if args.loss == "kernel":
-        return LossSpec.kernel(args.h)
-    return LossSpec.combined(args.lambda_mix, args.h)
-
-
 def _cmd_solve(args) -> int:
     inst = instance_from_json(Path(args.instance).read_text())
-    spec = _loss_spec_from_args(args)
+    spec = _loss_spec(args.loss, args.h, args.lambda_mix)
     init_x0 = None
     if args.init == "explicit":
         init_x0 = np.array(json.loads(Path(args.init_file).read_text()))
@@ -529,12 +524,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="run gradient descent on an instance")
     s.add_argument("--instance", type=str, required=True)
-    s.add_argument("--loss", type=str, default="mse",
-                   choices=["mse", "kernel", "combined"])
+    s.add_argument("--loss", type=str, default=MSE, choices=LOSS_KINDS)
     s.add_argument("--h", type=float, default=1.0)
     s.add_argument("--lambda-mix", type=float, default=0.5)
-    s.add_argument("--mse-norm", type=str, default="half_sum",
-                   choices=["half_sum", "mean"])
     s.add_argument("--eta", type=_eta_arg, default="auto")
     s.add_argument("--max-iters", type=int, default=5000)
     s.add_argument("--grad-tol", type=float, default=1e-10)

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SensingOperator, adjoint_op, apply_op, random_low_rank_symmetric
+from .model import (SensingOperator, adjoint_op, apply_op, estimate_rip,
+                    random_low_rank_symmetric)
 from .losses import (MSE, LossSpec, grad_residual, grad_X, hvp_residual,
                      kernel_row_means, loss_value, residuals)
 
@@ -319,8 +320,6 @@ def estimate_constants(spec: LossSpec, instance, samples: int,
     the realized noise; the MSE uses bandwidth 1); delta for the L1 formula
     comes from a sampled isometry probe at rank 2r.
     """
-    from .model import estimate_rip
-
     op, b = instance.op, instance.measurements
     M_star = instance.truth.matrix
     h_eff = spec.h if spec.h is not None else 1.0

@@ -1,7 +1,6 @@
 # Loss values and derivatives for the three data-fidelity terms:
 #
-#   mse       0.5 * sum(r_i^2)            (mse_norm="half_sum")
-#             (1/m) * sum(r_i^2)          (mse_norm="mean")
+#   mse       0.5 * sum(r_i^2)
 #   kernel    (1/m) sum_i -log( (1/m) sum_j exp(-(r_j - r_i)^2 / h^2) )
 #   combined  lam * (1/m) sum(r_i^2) + (1 - lam) * kernel
 #
@@ -53,17 +52,15 @@ import numpy as np
 from .model import SensingOperator, apply_op, adjoint_op
 
 __all__ = [
-    "MSE", "KERNEL", "COMBINED",
+    "MSE", "KERNEL", "COMBINED", "LOSS_KINDS",
     "LossSpec",
     "residuals",
     "loss_value",
-    "kernel_grad_residual",
     "kernel_row_means",
-    "weighted_residual_mean",
     "grad_residual",
     "loss_and_grad_residual",
     "hvp_residual",
-    "grad_M", "grad_X", "grad_w",
+    "grad_M", "grad_X",
     "hessian_quadratic_form",
     "hessian_vector_product",
     "lambda_min_hessian",
@@ -73,6 +70,7 @@ __all__ = [
 MSE = "mse"
 KERNEL = "kernel"
 COMBINED = "combined"
+LOSS_KINDS = (MSE, KERNEL, COMBINED)
 
 # Fast kernel path (see _fgt_sums): residual count from which it replaces
 # the dense tables, pairs dropped beyond _FGT_REACH * h, and Taylor terms
@@ -90,16 +88,15 @@ class LossSpec:
     """Tagged loss choice plus its parameters.
 
     h is the kernel bandwidth (kernel/combined), lambda_mix the combined
-    mixing weight in [0, 1], mse_norm selects the MSE normalization.
+    mixing weight in [0, 1].
     """
 
     kind: str
     h: Optional[float] = None
     lambda_mix: Optional[float] = None
-    mse_norm: str = "half_sum"
 
     def __post_init__(self):
-        if self.kind not in (MSE, KERNEL, COMBINED):
+        if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.kind in (KERNEL, COMBINED):
             if self.h is None or not (self.h > 0 and math.isfinite(self.h)):
@@ -108,12 +105,10 @@ class LossSpec:
             # NaN fails both comparisons, so it is rejected here too.
             if self.lambda_mix is None or not 0.0 <= self.lambda_mix <= 1.0:
                 raise ValueError("lambda_mix must lie in [0, 1]")
-        if self.mse_norm not in ("half_sum", "mean"):
-            raise ValueError(f"unknown mse_norm {self.mse_norm!r}")
 
     @classmethod
-    def mse(cls, mse_norm: str = "half_sum") -> "LossSpec":
-        return cls(MSE, mse_norm=mse_norm)
+    def mse(cls) -> "LossSpec":
+        return cls(MSE)
 
     @classmethod
     def kernel(cls, h: float) -> "LossSpec":
@@ -311,42 +306,22 @@ def _kernel_hessian(r: np.ndarray, h: float, provider=_gauss_sums):
 # Residual-space values, gradients and Hessian-vector products
 # ---------------------------------------------------------------------------
 
-def _mse_value(r: np.ndarray, mse_norm: str) -> float:
-    s = float(r @ r)
-    return 0.5 * s if mse_norm == "half_sum" else s / r.size
-
-
-def _mse_grad(r: np.ndarray, mse_norm: str) -> np.ndarray:
-    return r.copy() if mse_norm == "half_sum" else (2.0 / r.size) * r
-
-
 def _value_and_grad(spec: LossSpec, r: np.ndarray, grad: bool):
     """Loss value and, if grad, residual gradient (else None)."""
     r = np.asarray(r, dtype=float)
     if spec.kind == MSE:
-        return (_mse_value(r, spec.mse_norm),
-                _mse_grad(r, spec.mse_norm) if grad else None)
+        return 0.5 * float(r @ r), r.copy() if grad else None
     kv, kg = _kernel(r, spec.h, grad)
     if spec.kind == KERNEL:
         return kv, kg
     lam = spec.lambda_mix
-    return (lam * _mse_value(r, "mean") + (1.0 - lam) * kv,
-            lam * _mse_grad(r, "mean") + (1.0 - lam) * kg if grad else None)
+    return (lam * (float(r @ r) / r.size) + (1.0 - lam) * kv,
+            lam * ((2.0 / r.size) * r) + (1.0 - lam) * kg if grad else None)
 
 
 def loss_value(spec: LossSpec, r: np.ndarray) -> float:
     """Loss evaluated on a residual vector."""
     return _value_and_grad(spec, r, grad=False)[0]
-
-
-def kernel_grad_residual(r: np.ndarray, h: float) -> np.ndarray:
-    """Exact gradient of the kernel loss with respect to the residuals.
-
-    The components sum to zero because the loss depends only on pairwise
-    differences (exactly up to rounding on the dense path, to the fast
-    path's accuracy contract above _FGT_MIN_M residuals).
-    """
-    return grad_residual(LossSpec.kernel(h), r)
 
 
 def kernel_row_means(r: np.ndarray, h: float) -> np.ndarray:
@@ -357,37 +332,21 @@ def kernel_row_means(r: np.ndarray, h: float) -> np.ndarray:
     return _gauss_sums(r, h)(None, (0,))[0] / r.size
 
 
-def weighted_residual_mean(r: np.ndarray, h: float, i: int) -> float:
-    """Kernel-weighted average of the residuals, centered at residual i.
-
-    This is the value that makes the per-row derivative vanish: row i is
-    stationary exactly when r_i equals this weighted mean.
-    """
-    h = LossSpec.kernel(h).h              # rejects h <= 0 and non-finite h
-    r = np.asarray(r, dtype=float)
-    if not 0 <= i < r.size:
-        raise ValueError(f"index {i} out of range for m={r.size}")
-    w = np.exp(-((r - r[i]) ** 2) / (h * h))
-    return float((w @ r) / w.sum())
-
-
 def grad_residual(spec: LossSpec, r: np.ndarray) -> np.ndarray:
-    """dL/dr for the chosen loss."""
+    """dL/dr for the chosen loss.
+
+    It is also the gradient with respect to the noise vector w: b carries
+    w additively and r = b - A(M), so dL/dw = dL/dr.  The kernel gradient's
+    components sum to zero because the kernel loss depends only on pairwise
+    differences (exactly up to rounding on the dense path, to the fast
+    path's accuracy contract from _FGT_MIN_M residuals on).
+    """
     return _value_and_grad(spec, r, grad=True)[1]
 
 
 def loss_and_grad_residual(spec: LossSpec, r: np.ndarray):
     """Value and residual gradient from one kernel evaluation (hot path)."""
     return _value_and_grad(spec, r, grad=True)
-
-
-def grad_w(spec: LossSpec, r: np.ndarray) -> np.ndarray:
-    """Gradient with respect to the noise vector.
-
-    Since r = b - A(M) and b carries the noise additively, dL/dw_i equals
-    dL/dr_i, so this is grad_residual evaluated at r.
-    """
-    return grad_residual(spec, r)
 
 
 def _residual_hessian(spec: LossSpec, r: np.ndarray):
@@ -405,8 +364,8 @@ def hvp_residual(spec: LossSpec, r: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Residual-space Hessian-vector product H v at r.
 
     Kernel and combined (lam (2/m) I + (1 - lam) H_kernel): the exact
-    directional derivative of grad_residual along v.  MSE: H = 2I for
-    either mse_norm, the sum-normalized square loss sum(r_i^2), under which
+    directional derivative of grad_residual along v.  MSE: H = 2I, the
+    Hessian of sum(r_i^2), twice the MSE 0.5 sum(r_i^2), under which
     the landscape facts hold (smallest Hessian eigenvalue 2(1 - delta),
     gradient-Lipschitz constant 2(1 + delta)); every MSE curvature quantity
     inherits this convention.

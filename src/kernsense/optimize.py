@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .model import ProblemInstance, SensingOperator, adjoint_op, apply_op
-from .losses import (COMBINED, KERNEL, MSE, LossSpec, grad_residual,
-                     loss_and_grad_residual)
+from .empirics import estimate_rho
+from .model import (ProblemInstance, SensingOperator, adjoint_op, apply_op,
+                    estimate_rip)
+from .losses import KERNEL, MSE, LossSpec, loss_and_grad_residual
 
 __all__ = [
     "ETA_SELECTORS",
@@ -195,9 +196,6 @@ def auto_step_size(instance: ProblemInstance, spec: LossSpec,
     used, so the kernel step is exactly h^2 times the MSE step; "auto_rho"
     re-estimates rho for the loss itself.
     """
-    from .empirics import estimate_rho
-    from .model import estimate_rip
-
     if selector not in ETA_SELECTORS:
         raise ValueError(f"unknown eta selector {selector!r}")
     op, b = instance.op, instance.measurements

@@ -10,12 +10,11 @@ import math
 import numpy as np
 
 from . import bounds as bd
-from .empirics import (estimate_rho, estimate_zeta1, finite_diff_check,
-                       residual_constants)
-from .losses import (LossSpec, grad_X, hessian_quadratic_form,
-                     kernel_grad_residual, lambda_min_hessian, loss_value)
+from .empirics import estimate_rho, estimate_zeta1, finite_diff_check
+from .losses import (LossSpec, grad_residual, grad_X, hessian_quadratic_form,
+                     lambda_min_hessian, loss_value)
 from .model import (NoiseModel, apply_op, adjoint_op, estimate_rip,
-                    gen_gaussian_operator, gen_ground_truth, make_instance,
+                    gen_gaussian_operator, make_instance,
                     orthonormal_basis_operator, prob_norm_bound, sample_noise)
 from .optimize import (ConvergenceBoundInputs, SolverConfig, dist_factor,
                         error_frobenius, gradient_descent, project_rank_r,
@@ -98,21 +97,21 @@ def _check_kernel_translation(seed):
 def _check_mse_not_translation(seed):
     rng = np.random.default_rng(seed)
     ok = True
-    for norm in ("half_sum", "mean"):
-        spec = LossSpec.mse(norm)
-        for _ in range(20):
-            r = rng.standard_normal(12)
-            c = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
-            ok &= loss_value(spec, r + c) != loss_value(spec, r)
+    spec = LossSpec.mse()
+    for _ in range(40):
+        r = rng.standard_normal(12)
+        c = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+        ok &= loss_value(spec, r + c) != loss_value(spec, r)
     return ok, "strict inequality on 40 shifted residuals"
 
 
 def _check_grad_sum_zero(seed):
     rng = np.random.default_rng(seed)
+    spec = LossSpec.kernel(0.8)
     worst = 0.0
     for _ in range(50):
         r = rng.standard_normal(rng.integers(2, 40)) * rng.uniform(0.1, 4.0)
-        worst = max(worst, abs(float(kernel_grad_residual(r, 0.8).sum())))
+        worst = max(worst, abs(float(grad_residual(spec, r).sum())))
     return worst < 1e-10, f"max |sum g| {worst:.2e}"
 
 
@@ -131,11 +130,13 @@ def _check_combined_endpoints(seed):
     X = np.random.default_rng(seed + 3).standard_normal((5, 2))
     r = inst.measurements - apply_op(inst.op, X @ X.T)
     ok = True
-    for lam, ref in ((1.0, LossSpec.mse("mean")), (0.0, LossSpec.kernel(0.8))):
+    # At lambda = 1 the combined loss is the MSE scaled to (1/m) sum(r_i^2).
+    for lam, ref, scale in ((1.0, LossSpec.mse(), 2.0 / r.size),
+                            (0.0, LossSpec.kernel(0.8), 1.0)):
         spec = LossSpec.combined(lam, 0.8)
-        ok &= abs(loss_value(spec, r) - loss_value(ref, r)) < 1e-12
+        ok &= abs(loss_value(spec, r) - scale * loss_value(ref, r)) < 1e-12
         ga = grad_X(spec, inst.op, inst.measurements, X)
-        gb = grad_X(ref, inst.op, inst.measurements, X)
+        gb = scale * grad_X(ref, inst.op, inst.measurements, X)
         ok &= float(np.abs(ga - gb).max()) < 1e-12
     return ok, "value and gradient equal at lambda in {0, 1}"
 

@@ -15,9 +15,8 @@ from kernsense.cli import SweepConfig, run_sweep
 from kernsense.empirics import (estimate_lambda12, estimate_rho,
                                 estimate_zeta2, finite_diff_check,
                                 residual_constants)
-from kernsense.losses import (LossSpec, grad_w, hessian_quadratic_form,
-                              kernel_grad_residual, lambda_min_hessian,
-                              loss_value)
+from kernsense.losses import (LossSpec, grad_residual, hessian_quadratic_form,
+                              lambda_min_hessian, loss_value)
 from kernsense.model import (NoiseModel, apply_op, estimate_rip,
                              full_rank_defect, make_instance,
                              orthonormal_basis_operator, prob_norm_bound)
@@ -86,7 +85,7 @@ def test_criterion_2_kernel_loss_structure():
         worst_sum = 0.0
         for _ in range(100):
             r = rng.standard_normal(rng.integers(2, 40)) * rng.uniform(0.1, 4)
-            worst_sum = max(worst_sum, abs(kernel_grad_residual(r, 1.0).sum()))
+            worst_sum = max(worst_sum, abs(grad_residual(spec, r).sum()))
         assert worst_sum < 1e-10
         ctx.detail = f"shift {worst_shift:.1e}, grad sum {worst_sum:.1e}"
 
@@ -98,9 +97,10 @@ def test_criterion_3_noise_sensitivity():
         start = time.time()
         pattern = np.tile([-1.0, 1.0], 12)
         scales = (1.0, 2.0, 4.0, 8.0)
-        mse_norms = [np.linalg.norm(grad_w(LossSpec.mse("mean"), s * pattern))
+        mse_norms = [np.linalg.norm(grad_residual(LossSpec.mse(), s * pattern))
                      for s in scales]
-        ker_norms = [np.linalg.norm(grad_w(LossSpec.kernel(1.0), s * pattern))
+        ker_norms = [np.linalg.norm(grad_residual(LossSpec.kernel(1.0),
+                                                  s * pattern))
                      for s in scales]
         for i, s in enumerate(scales[1:], start=1):
             ratio = mse_norms[i] / mse_norms[0]

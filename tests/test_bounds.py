@@ -83,14 +83,6 @@ class TestKernelErrorUpper:
         peak = val(PEAK_EPS)
         assert peak > val(PEAK_EPS / 2) and peak > val(2 * PEAK_EPS)
 
-    def test_h_scaled_variant_flag(self):
-        # Small h makes the noise term dominate, where the exponent choice
-        # (bare -eps^2 vs scaled -eps^2/h^2) changes the value.
-        bi = BoundInputs(delta=0.1, eps=0.5, h=0.2, lambda_min=0.02)
-        bare = kernel_error_upper(bi)
-        scaled = kernel_error_upper(bi, h_scaled_exponent=True)
-        assert bare > scaled
-
     def test_requires_positive_lambda_min(self):
         with pytest.raises(ValueError):
             kernel_error_upper(BoundInputs(lambda_min=0.0))

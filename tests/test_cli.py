@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -347,3 +348,13 @@ def test_sweep_diverging_cell_is_flagged_not_warned():
                                  max_iters=200))
     assert [r.flags for r in rows] == ["non_finite", "non_finite"]
     assert all(r.real_error == math.inf for r in rows)
+
+
+def test_sweep_threads_do_not_change_the_csv():
+    # run_sweep promises that the thread count cannot change the result.
+    cfg = SweepConfig(n=8, r=2, m=300, eps_grid=(0.5, 0.9), trials=2,
+                      max_iters=60, base_seed=4)
+    one = sweep_csv(run_sweep(cfg))
+    two = sweep_csv(run_sweep(dataclasses.replace(cfg, workers=2)))
+    assert two == one
+    assert one.count("\n") == 1 + 3 * len(cfg.eps_grid)

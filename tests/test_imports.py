@@ -1,0 +1,52 @@
+"""Every name a kernsense module imports is used in that module.
+
+A stdlib-ast stand-in for a linter's unused-import rule.  The package's
+__init__.py is exempt (its imports are the re-exports), and so are
+`from __future__` imports.  A name counts as used when it appears as a
+name anywhere in the module, as the root of an attribute chain, or as an
+entry of __all__.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "kernsense"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each imported name the module never uses."""
+    tree = ast.parse(source)
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0])
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant))
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_finds_an_unused_import():
+    src = ("from __future__ import annotations\n"
+           "import math, os.path\n"
+           "from json import dumps, loads as ld\n"
+           "__all__ = ['dumps']\n"
+           "def f():\n"
+           "    return os.path.sep\n")
+    assert unused_imports(src) == [(2, "math"), (3, "ld")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

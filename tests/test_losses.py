@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from kernsense.empirics import _hess_gap
 from kernsense.losses import (_FGT_MIN_M, LossSpec, _dense_sums, _fgt_sums,
                               _kernel, _kernel_hessian, grad_M, grad_residual,
-                              grad_w, grad_X, hessian_quadratic_form,
+                              grad_X, hessian_quadratic_form,
                               hessian_vector_product, hvp_residual,
-                              kernel_grad_residual, kernel_row_means,
-                              lambda_min_hessian, loss_and_grad_residual,
-                              loss_value, residuals, weighted_residual_mean)
+                              kernel_row_means, lambda_min_hessian,
+                              loss_and_grad_residual, loss_value, residuals)
 from kernsense.model import (NoiseModel, adjoint_op, apply_op, estimate_rip,
                              gen_gaussian_operator, make_instance,
                              orthonormal_basis_operator,
@@ -45,8 +44,6 @@ class TestLossSpec:
             LossSpec.combined(1.5, 1.0)
         with pytest.raises(ValueError):
             LossSpec("huber")
-        with pytest.raises(ValueError):
-            LossSpec("mse", mse_norm="sum")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
@@ -57,7 +54,7 @@ class TestLossSpec:
         with pytest.raises(ValueError):
             LossSpec.combined(bad, 1.0)
         with pytest.raises(ValueError):
-            kernel_grad_residual(np.zeros(3), bad)
+            kernel_row_means(np.zeros(3), bad)
 
 
 class TestResiduals:
@@ -95,12 +92,11 @@ class TestLossValue:
 
     def test_mse_not_translation_invariant(self):
         rng = np.random.default_rng(5)
-        for norm in ("half_sum", "mean"):
-            spec = LossSpec.mse(norm)
-            for _ in range(20):
-                r = rng.standard_normal(10)
-                c = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
-                assert loss_value(spec, r + c) != loss_value(spec, r)
+        spec = LossSpec.mse()
+        for _ in range(40):
+            r = rng.standard_normal(10)
+            c = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+            assert loss_value(spec, r + c) != loss_value(spec, r)
 
     def test_kernel_frozen_scalar(self):
         h = 1.0
@@ -110,9 +106,9 @@ class TestLossValue:
 
     def test_mse_values(self):
         r = np.array([1.0, -1.0])
-        assert loss_value(LossSpec.mse("mean"), r) == 1.0
-        assert loss_value(LossSpec.mse("half_sum"), r) == 1.0
-        assert loss_value(LossSpec.mse("half_sum"), np.array([2.0])) == 2.0
+        assert 2 / r.size * loss_value(LossSpec.mse(), r) == 1.0
+        assert loss_value(LossSpec.mse(), r) == 1.0
+        assert loss_value(LossSpec.mse(), np.array([2.0])) == 2.0
 
     def test_kernel_nonnegative(self):
         spec = LossSpec.kernel(0.9)
@@ -124,7 +120,7 @@ class TestLossValue:
         rng = np.random.default_rng(7)
         r = rng.standard_normal(15)
         k = loss_value(LossSpec.kernel(0.8), r)
-        m = loss_value(LossSpec.mse("mean"), r)
+        m = float(r @ r) / r.size
         assert loss_value(LossSpec.combined(0.0, 0.8), r) == k
         assert loss_value(LossSpec.combined(1.0, 0.8), r) == m
         mid = loss_value(LossSpec.combined(0.3, 0.8), r)
@@ -133,15 +129,16 @@ class TestLossValue:
 
 class TestKernelGradResidual:
     def test_zero_at_constant(self):
-        assert np.abs(kernel_grad_residual(np.full(7, 2.2), 0.9)).max() == 0.0
+        g = grad_residual(LossSpec.kernel(0.9), np.full(7, 2.2))
+        assert np.abs(g).max() == 0.0
 
     def test_antisymmetric_pair(self):
-        g = kernel_grad_residual(np.array([0.0, 0.7]), 1.1)
+        g = grad_residual(LossSpec.kernel(1.1), np.array([0.0, 0.7]))
         assert abs(g[0] + g[1]) < 1e-14
 
     def test_matches_finite_difference(self):
         r = np.array([0.0, 1.0])
-        g = kernel_grad_residual(r, 1.0)
+        g = grad_residual(LossSpec.kernel(1.0), r)
         t = 1e-6
         fd = np.zeros(2)
         for i in range(2):
@@ -155,7 +152,7 @@ class TestKernelGradResidual:
         rng = np.random.default_rng(8)
         for _ in range(50):
             r = rng.standard_normal(rng.integers(2, 40)) * rng.uniform(0.1, 5)
-            assert abs(kernel_grad_residual(r, 0.8).sum()) < 1e-10
+            assert abs(grad_residual(LossSpec.kernel(0.8), r).sum()) < 1e-10
 
 
 def dense_kernel(r, h):
@@ -274,7 +271,6 @@ class TestKernelFastPath:
         assert v == want[0] == loss_value(spec, r)
         assert np.array_equal(g, want[1])
         assert np.array_equal(grad_residual(spec, r), want[1])
-        assert np.array_equal(kernel_grad_residual(r, 0.8), want[1])
 
 
 class TestResidualHessian:
@@ -333,14 +329,13 @@ class TestResidualHessian:
         v = np.random.default_rng(13).standard_normal(m)
         lam = 0.3
         hv = hvp_residual(LossSpec.combined(lam, 0.5), r, v)
-        parts = (lam / m * hvp_residual(LossSpec.mse("mean"), r, v)
+        parts = (lam / m * hvp_residual(LossSpec.mse(), r, v)
                  + (1 - lam) * hvp_residual(LossSpec.kernel(0.5), r, v))
         assert np.linalg.norm(hv - parts) <= 1e-14 * np.linalg.norm(parts)
 
-    @pytest.mark.parametrize("norm", ["half_sum", "mean"])
-    def test_mse_is_twice_identity(self, norm):
+    def test_mse_is_twice_identity(self):
         r, v = np.random.default_rng(14).standard_normal((2, 9))
-        assert np.array_equal(hvp_residual(LossSpec.mse(norm), r, v), 2 * v)
+        assert np.array_equal(hvp_residual(LossSpec.mse(), r, v), 2 * v)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -389,36 +384,8 @@ class TestHessianNoiseGap:
         assert abs(form - f1) <= tol
 
 
-class TestWeightedResidualMean:
-    def test_constant(self):
-        assert weighted_residual_mean(np.full(5, 1.7), 0.8, 2) == pytest.approx(1.7)
-
-    def test_symmetric_pattern(self):
-        assert abs(weighted_residual_mean(np.array([-0.4, 0.0, 0.4]), 1.0, 1)) < 1e-15
-
-    def test_direct_evaluation_and_grad_sign(self):
-        r = np.array([0.0, 1.0, 2.0])
-        h = 1.0
-        w = np.exp(-(r - r[0]) ** 2 / h ** 2)
-        expected = float(w @ r / w.sum())
-        got = weighted_residual_mean(r, h, 0)
-        assert got == pytest.approx(expected, rel=1e-12)
-        # Row 0 sits below its weighted mean, so the own-row pull and the
-        # full gradient component share the sign of r_i - rbar_i.
-        g = kernel_grad_residual(r, h)
-        assert math.copysign(1, g[0]) == math.copysign(1, r[0] - got)
-
-    def test_index_check(self):
-        with pytest.raises(ValueError):
-            weighted_residual_mean(np.zeros(3), 1.0, 3)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
-    def test_rejects_bad_bandwidth(self, bad):
-        with pytest.raises(ValueError):
-            weighted_residual_mean(np.array([0.0, 1.0, 2.0]), bad, 0)
-
-
-ALL_SPECS = [LossSpec.mse("half_sum"), LossSpec.mse("mean"),
+# combined(1.0, h) is the MSE scaled to (1/m) sum(r_i^2).
+ALL_SPECS = [LossSpec.mse(), LossSpec.combined(1.0, 0.8),
              LossSpec.kernel(0.8), LossSpec.combined(0.4, 0.8)]
 
 
@@ -434,7 +401,7 @@ class TestGradM:
         rng = np.random.default_rng(11)
         M = rng.standard_normal((5, 5)); M = 0.5 * (M + M.T)
         r = inst.measurements - apply_op(inst.op, M)
-        g = grad_M(LossSpec.mse("half_sum"), inst.op, inst.measurements, M)
+        g = grad_M(LossSpec.mse(), inst.op, inst.measurements, M)
         assert np.abs(g + adjoint_op(inst.op, r)).max() < 1e-12
 
     def test_combined_endpoints(self):
@@ -442,7 +409,8 @@ class TestGradM:
         rng = np.random.default_rng(13)
         M = rng.standard_normal((5, 5)); M = 0.5 * (M + M.T)
         g1 = grad_M(LossSpec.combined(1.0, 0.8), inst.op, inst.measurements, M)
-        g_mse = grad_M(LossSpec.mse("mean"), inst.op, inst.measurements, M)
+        g_mse = (2 / inst.op.m) * grad_M(LossSpec.mse(), inst.op,
+                                         inst.measurements, M)
         assert np.abs(g1 - g_mse).max() < 1e-12
         g0 = grad_M(LossSpec.combined(0.0, 0.8), inst.op, inst.measurements, M)
         g_k = grad_M(LossSpec.kernel(0.8), inst.op, inst.measurements, M)
@@ -476,16 +444,18 @@ class TestGradX:
 
 class TestGradW:
     def test_mse_mean_frozen(self):
-        g = grad_w(LossSpec.mse("mean"), np.array([1.0, 0.0]))
+        r = np.array([1.0, 0.0])
+        g = 2 / r.size * grad_residual(LossSpec.mse(), r)
         assert np.array_equal(g, np.array([1.0, 0.0]))
 
     def test_kernel_constant_zero(self):
-        assert np.abs(grad_w(LossSpec.kernel(1.0), np.full(6, 0.3))).max() == 0.0
+        g = grad_residual(LossSpec.kernel(1.0), np.full(6, 0.3))
+        assert np.abs(g).max() == 0.0
 
     def test_kernel_exponential_suppression(self):
         spec = LossSpec.kernel(1.0)
-        n1 = np.linalg.norm(grad_w(spec, np.array([-1.0, 1.0])))
-        n3 = np.linalg.norm(grad_w(spec, np.array([-3.0, 3.0])))
+        n1 = np.linalg.norm(grad_residual(spec, np.array([-1.0, 1.0])))
+        n3 = np.linalg.norm(grad_residual(spec, np.array([-3.0, 3.0])))
         assert n3 < n1
 
     def test_noise_sensitivity_ordering(self):
@@ -495,10 +465,10 @@ class TestGradW:
         mse_norms = []
         ker_norms = []
         for s in (1.0, 2.0, 4.0, 8.0):
-            mse_norms.append(np.linalg.norm(grad_w(LossSpec.mse("mean"),
-                                                   s * pattern)))
-            ker_norms.append(np.linalg.norm(grad_w(LossSpec.kernel(1.0),
-                                                   s * pattern)))
+            mse_norms.append(np.linalg.norm(grad_residual(LossSpec.mse(),
+                                                          s * pattern)))
+            ker_norms.append(np.linalg.norm(grad_residual(LossSpec.kernel(1.0),
+                                                          s * pattern)))
         for i, s in enumerate((2.0, 4.0, 8.0), start=1):
             ratio = mse_norms[i] / mse_norms[0]
             assert abs(ratio - s) <= 0.02 * s
