@@ -106,6 +106,8 @@ class SweepConfig:
             raise ValueError("eps_grid must be strictly increasing")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         if self.delta_regime not in ("low", "high"):
             raise ValueError("delta_regime must be 'low' or 'high'")
         check_eta(self.eta)
@@ -316,10 +318,10 @@ def _cmd_gen(args) -> int:
     spectrum = tuple(float(s) for s in args.spectrum.split(","))
     noise = NoiseModel(args.noise, _parse_kv(args.noise_params), args.centered)
     inst = make_instance(args.n, args.rank, args.m, spectrum, noise, args.seed)
-    doc = instance_to_json(inst)
-    Path(args.out).write_text(doc)
+    # The probe validates --rip-trials, so it runs before anything is written.
     rip = estimate_rip(inst.op, min(2 * args.rank, args.n), args.rip_trials,
                        args.seed)
+    Path(args.out).write_text(instance_to_json(inst))
     print(f"wrote {args.out}")
     print(f"delta_hat (rank {rip.rank_tested}, {rip.trials} trials, sampled "
           f"lower bound): {rip.delta_hat:.6f}")
@@ -327,6 +329,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.init == "explicit" and args.init_file is None:
+        raise ValueError("--init explicit needs --init-file")
     inst = instance_from_json(Path(args.instance).read_text())
     spec = _loss_spec(args.loss, args.h, args.lambda_mix)
     init_x0 = None
@@ -586,7 +590,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:           # missing file, a directory, no access
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,18 +27,28 @@
 # box-wise fast Gauss transform (_fgt_sums; Greengard & Strain 1991) gives
 # the same sums in O(m p): boxes h/2 wide, p = _FGT_TERMS = 24 Taylor terms
 # per expansion, pairs more than _FGT_REACH = 6 bandwidths apart dropped
-# (each such weight is below exp(-36) = 2.3e-16).  The threshold is the
-# measured crossover on a 2-vCPU Xeon; at m = 4000 the fast path takes ~2 ms
-# per value and gradient, the dense one ~200 ms and 256 MB.  Property tests
-# hold it to the dense path: relative error <= 1e-12 on the value, <= 1e-10
-# on the gradient and HVP norms, zero-sum gradient and HVP.  The exact
-# zeros at constant residuals and the exponentially small gradients of
-# widely spread, nearly flat residuals (criterion 3 checks norms down to
-# 1e-111) are dense-path properties, since every sum there is over pairwise
-# differences.  On the fast path the sums carry rounding noise of ~1e-16
-# relative to their largest terms, and clusters farther apart than the
-# reach do not interact: criterion 3's pattern at spread 4h and 8h gives a
-# gradient of exactly zero.
+# (each such weight is below exp(-36) = 2.3e-16).  The threshold lies
+# above the measured crossover, near m = 180 on a 2-vCPU Xeon.  Both
+# providers take the residuals sorted ascending: _kernel, _kernel_hessian
+# and kernel_row_means sort r once, evaluate everything in that order and
+# put the results back in input order once (each HVP permutes v in and
+# H v out), so the results depend on the residuals' values, not on their
+# order.  Measured on that Xeon (student-t residuals, h = 0.5, best of
+# 7 x 200 calls), the fast path takes ~0.28 ms per value and gradient at
+# m = 1200 and ~0.7 ms at m = 4000 (value only ~0.15 / 0.35 ms, one HVP
+# ~0.37 / 1.0 ms); the dense one takes ~200 ms and 256 MB at m = 4000.  Property tests hold the fast
+# path to the dense one: relative error <= 1e-12 on the value, <= 1e-10 on
+# the gradient and HVP norms, zero-sum gradient and HVP.  The exponentially
+# small gradients of widely spread, nearly flat residuals (criterion 3
+# checks norms down to 1e-111) are a dense-path property, since every sum
+# there is over pairwise differences.  On the fast path the sums carry
+# rounding noise of ~1e-16 relative to their largest terms, and clusters
+# farther apart than the reach do not interact.  A cluster of equal
+# residuals sits at the centre of its box, where the expansions reduce to
+# their constant terms, so constant residuals give an exactly zero value
+# and gradient on both paths, and so do clusters of equal residuals
+# farther apart than the reach, such as criterion 3's pattern at spread 4h
+# and 8h.
 
 from __future__ import annotations
 
@@ -135,9 +145,11 @@ def residuals(op: SensingOperator, b: np.ndarray, X: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _dense_sums(r: np.ndarray, h: float):
-    """sums(q, ks) -> [S_k[q] for k in ks] (q = None: unit weights) from
-    dense m x m tables of E d^k, each built on first use: the small-m path
-    and the fast path's reference.  Gaps beyond ~1e154 overflow d^2 to inf,
+    """sums(q, ks) -> [S_k[q] for k in ks] (q = None: unit weights; q and
+    the sums in the order of r) from dense m x m tables of E d^k, each
+    built on first use: the small-m path and the fast path's reference.
+    Any order of r works; the kernel entry points pass it sorted, as
+    _fgt_sums requires.  Gaps beyond ~1e154 overflow d^2 to inf,
     so E = 0, and non-finite residuals give NaN; the values are right, so
     the warnings are silenced.
     """
@@ -200,57 +212,63 @@ def _fgt_sums(r: np.ndarray, h: float):
     """Gauss sums S_0, S_1, S_2 in O(m) by a box-wise fast Gauss transform,
     with the interface of _dense_sums (its reference).
 
-    Sorted residuals are cut into clusters wherever a gap exceeds the
-    reach, and each cluster into boxes of width h/2 anchored at its own
-    minimum, so a far outlier neither blurs the offsets nor overflows the
-    box numbers; only occupied boxes are kept.  Per box, the moments
+    r must be sorted ascending (NaN last, as np.sort leaves it); q and the
+    sums are in that order.  The residuals are cut into clusters wherever
+    a gap exceeds the reach, and each cluster into boxes of width h/2, the
+    first centred on the cluster's minimum, so a far outlier neither blurs
+    the offsets nor overflows the box numbers; only occupied boxes are
+    kept, and the points of a box are contiguous.  Per box, the moments
     sum_j q_j s_j^a of the box-centred offsets s_j (in box widths) are
     carried to every box within the reach by the matrices of
     _fgt_translations, which depend on the box offset alone, and evaluated
-    at the targets' own offsets.  Non-finite residuals give NaN sums.
+    at the targets' own offsets; only the blocks k in ks are formed.  A
+    cluster of equal residuals sits at offset 0, where the expansions reduce
+    to their constant terms, so its odd sums are exactly 0.  The (p, m)
+    table of powers s^a is built row by row, each row the previous one
+    times s: np.vander's products, in its order.  Non-finite residuals give
+    NaN sums.  Measured on a 2-vCPU Xeon at m = 1200 (m = 4000): set-up
+    ~62 us (94 us), one sums call with q = None and ks = (0, 1) ~89 us
+    (231 us), with weights q and ks = (1,) ~73 us (195 us).
     """
     m = r.size
-    if not np.all(np.isfinite(r)):
+    if not (math.isfinite(r[0]) and math.isfinite(r[-1])):
         return lambda q, ks: np.full((len(ks), m), math.nan)
     p, reach = _FGT_TERMS, _FGT_REACH_BOXES
-    tr = _fgt_translations()
-    order = np.argsort(r)
-    rs = r[order]
-    new = np.concatenate(([True], np.diff(rs) > _FGT_REACH * h))
+    trt = _fgt_translations().T
+    new = np.concatenate(([True], np.diff(r) > _FGT_REACH * h))
     cluster = np.cumsum(new) - 1
-    x = (rs - rs[new][cluster]) / (0.5 * h)
-    box = np.floor(x)
-    s = x - box - 0.5                                   # in [-1/2, 1/2)
+    x = (r - r[new][cluster]) / (0.5 * h)
+    box = np.floor(x + 0.5)
+    s = x - box                                         # in [-1/2, 1/2]
     box = box.astype(np.int64)
     # Shift each cluster's box numbers past the previous cluster's last box
     # by more than the reach, so no translation crosses a cluster gap.
     span = box[np.flatnonzero(np.append(new[1:], True))] + reach + 1
     box += (np.cumsum(span) - span)[cluster]
-    first = np.concatenate(([True], box[1:] != box[:-1]))
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(np.concatenate(([True], box[1:] != box[:-1])))
     occupied = box[starts]
-    of_point = np.cumsum(first) - 1
+    counts = np.diff(np.append(starts, m))         # points per occupied box
     # Source box of every (target box, offset) pair; missing boxes point at
     # a zero row appended to the moments.
     want = occupied[:, None] + np.arange(-reach, reach + 1)
     near = np.searchsorted(occupied, want)
     near[occupied[np.minimum(near, occupied.size - 1)] != want] = occupied.size
-    powers = np.vander(s, p, increasing=True)
+    powers = np.empty((p, m))
+    powers[0] = 1.0
+    for a in range(1, p):
+        np.multiply(powers[a - 1], s, out=powers[a])
     moments = np.zeros((occupied.size + 1, p))
 
     def sums(q, ks):
-        weighted = powers if q is None else q[order, None] * powers
-        moments[:-1] = np.add.reduceat(weighted, starts, axis=0)
-        # One product for the column blocks ks[0] .. ks[-1] (ks ascending).
-        lo, hi = ks[0], ks[-1] + 1
-        local = (moments[near].reshape(occupied.size, -1)
-                 @ tr[:, lo * p:hi * p])[of_point].reshape(m, hi - lo, p)
-        out = np.empty((len(ks), m))
+        weighted = powers if q is None else powers * q
+        moments[:-1] = np.add.reduceat(weighted, starts, axis=1).T
+        gathered = moments[near].reshape(occupied.size, -1).T
+        local = np.empty((len(ks), p, occupied.size))
+        for i, k in enumerate(ks):
+            np.matmul(trt[k * p:(k + 1) * p], gathered, out=local[i])
         # d^k = (h y)^k, and the translations hold the coefficients in y.
-        rows = np.einsum("jb,jkb->kj", powers, local)
-        out[:, order] = rows[np.subtract(ks, lo)]
-        out *= np.power(h, ks)[:, None]
-        return out
+        local *= np.power(h, ks)[:, None, None]
+        return np.einsum("kbj,bj->kj", np.repeat(local, counts, axis=2), powers)
 
     return sums
 
@@ -260,18 +278,29 @@ def _gauss_sums(r: np.ndarray, h: float):
     return (_fgt_sums if r.size >= _FGT_MIN_M else _dense_sums)(r, h)
 
 
+def _unsort(x: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """x computed on r[order], put back in the input order of r."""
+    out = np.empty_like(x)
+    out[order] = x
+    return out
+
+
 def _kernel(r: np.ndarray, h: float, grad: bool, provider=_gauss_sums):
     """Kernel value and, if grad, residual gradient g = -c (S_1[q] + q S_1[1])
-    with z = S_0[1]/m, q = 1/z and c = 2/(m^2 h^2)."""
+    with z = S_0[1]/m, q = 1/z and c = 2/(m^2 h^2).  Evaluated on r sorted
+    once (the providers' contract); the gradient is returned in input order.
+    """
     m = r.size
-    sums = provider(r, h)
+    order = np.argsort(r)
+    sums = provider(r[order], h)
     s0, *s1 = sums(None, (0, 1) if grad else (0,))
     z = s0 / m                            # z_i >= 1/m since E_ii = 1
     value = float(-np.log(z).mean())
     if not grad:
         return value, None
     q = 1.0 / z
-    return value, (-2.0 / (m * m * h * h)) * (sums(q, (1,))[0] + q * s1[0])
+    g = (-2.0 / (m * m * h * h)) * (sums(q, (1,))[0] + q * s1[0])
+    return value, _unsort(g, order)
 
 
 def _kernel_hessian(r: np.ndarray, h: float, provider=_gauss_sums):
@@ -281,23 +310,26 @@ def _kernel_hessian(r: np.ndarray, h: float, provider=_gauss_sums):
       S_1[1]'  = S_0[v] - v S_0[1] - (2/h^2) (S_2[v] - v S_2[1])
       S_1[q]'  = S_1[q'] + S_0[qv] - v S_0[q] - (2/h^2) (S_2[qv] - v S_2[q])
       H v      = -c (S_1[q]' + q' S_1[1] + q S_1[1]')
-    Sums with weights 1 and q are formed once per r; each product then
-    needs weights v, qv and q' (q' after S_1[v]).
+    r is sorted once; sums with weights 1 and q are formed once per r, in
+    sorted order.  Each product permutes v in and H v out once, and needs
+    weights v, qv and q' (q' after S_1[v]).
     """
     m = r.size
-    sums = provider(r, h)
+    order = np.argsort(r)
+    sums = provider(r[order], h)
     one = sums(None, (0, 1, 2))
     q = m / one[0]
     sq0, sq2 = sums(q, (0, 2))
     c, k = 2.0 / (m * m * h * h), 2.0 / (h * h)
 
     def hvp(v):
+        v = v[order]
         sv = sums(v, (0, 1, 2))
         qdot = (q * q) * (k / m) * (sv[1] - v * one[1])
         sqv0, sqv2 = sums(q * v, (0, 2))
         d_one = sv[0] - v * one[0] - k * (sv[2] - v * one[2])
         d_q = sums(qdot, (1,))[0] + sqv0 - v * sq0 - k * (sqv2 - v * sq2)
-        return -c * (d_q + qdot * one[1] + q * d_one)
+        return _unsort(-c * (d_q + qdot * one[1] + q * d_one), order)
 
     return hvp
 
@@ -329,7 +361,8 @@ def kernel_row_means(r: np.ndarray, h: float) -> np.ndarray:
     estimate at each residual (O(m) from _FGT_MIN_M residuals on)."""
     h = LossSpec.kernel(h).h              # rejects h <= 0 and non-finite h
     r = np.asarray(r, dtype=float)
-    return _gauss_sums(r, h)(None, (0,))[0] / r.size
+    order = np.argsort(r)
+    return _unsort(_gauss_sums(r[order], h)(None, (0,))[0] / r.size, order)
 
 
 def grad_residual(spec: LossSpec, r: np.ndarray) -> np.ndarray:

@@ -95,6 +95,43 @@ def test_bounds_non_finite_input_exit_two(tmp, capsys, flag, value):
     assert not (tmp / "rep.json").exists()
 
 
+def test_solve_explicit_init_needs_init_file(tmp, capsys):
+    inst_file = tmp / "inst.json"
+    main(["gen", "--n", "6", "--rank", "2", "--m", "40", "--spectrum", "2,1",
+          "--noise", "gaussian", "--noise-params", "sigma=0.1", "--seed", "3",
+          "--out", str(inst_file)])
+    code = main(["solve", "--instance", str(inst_file), "--init", "explicit",
+                 "--out", str(tmp / "run")])
+    assert code == 2
+    assert "--init-file" in capsys.readouterr().err
+    assert not (tmp / "run_summary.json").exists()
+
+
+def test_solve_instance_directory_exit_two(tmp, capsys):
+    code = main(["solve", "--instance", str(tmp), "--out", str(tmp / "run")])
+    assert code == 2
+    assert str(tmp) in capsys.readouterr().err
+
+
+def test_gen_bad_rip_trials_writes_nothing(tmp, capsys):
+    out = tmp / "g.json"
+    code = main(["gen", "--n", "6", "--rank", "2", "--m", "40",
+                 "--spectrum", "2,1", "--rip-trials", "0", "--out", str(out)])
+    assert code == 2
+    assert "trials" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_workers_below_one_exit_two(tmp, capsys):
+    code = main(["sweep", "--n", "6", "--rank", "2", "--trials", "1",
+                 "--workers", "-3", "--out", str(tmp / "s.csv")])
+    assert code == 2
+    assert "workers" in capsys.readouterr().err
+    assert not (tmp / "s.csv").exists()
+    with pytest.raises(ValueError, match="workers"):
+        SweepConfig(workers=0)
+
+
 def test_solve_summary_reports_final_grad_norm(tmp):
     from kernsense.losses import LossSpec, grad_X
     from kernsense.optimize import SolverConfig, gradient_descent

@@ -273,6 +273,59 @@ class TestKernelFastPath:
         assert np.array_equal(grad_residual(spec, r), want[1])
 
 
+class TestSortedEvaluation:
+    """The kernel entry points sort the residuals once and hand the sorted
+    vector to the sums, so the fast path depends on the residuals' values,
+    not on their order: a permuted input gives the same value and the
+    permuted gradient bit for bit.  Tied residuals get equal sums, so this
+    holds with ties too; the HVP's weights v differ between tied residuals,
+    whose sorted order is arbitrary, so it is checked on tie-free inputs.
+    """
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(m=st.integers(_FGT_MIN_M, 2000), h=st.floats(0.1, 2.0),
+           kind=st.sampled_from(["normal", "student_t", "cauchy"]),
+           seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+    @example(m=_FGT_MIN_M, h=0.5, kind="normal", seed=2, ties=True)
+    def test_permutation_commutes(self, m, h, kind, seed, ties):
+        r = sample_residuals(kind, m, seed)
+        if ties:
+            r = np.round(r, 1)
+        rng = np.random.default_rng([seed, 2])
+        perm = rng.permutation(m)
+        v, g = fast_kernel(r, h)
+        v_perm, g_perm = fast_kernel(r[perm], h)
+        assert v_perm == v
+        assert np.array_equal(g_perm, g[perm])
+        if np.unique(r).size == m:
+            u = rng.standard_normal(m)
+            hu = _kernel_hessian(r, h, _fgt_sums)(u)
+            hu_perm = _kernel_hessian(r[perm], h, _fgt_sums)(u[perm])
+            assert np.array_equal(hu_perm, hu[perm])
+
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(m=st.integers(_FGT_MIN_M, 2000), h=st.floats(0.1, 2.0),
+           kind=st.sampled_from(["normal", "student_t", "cauchy"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_row_means_in_input_order(self, m, h, kind, seed):
+        r = sample_residuals(kind, m, seed)
+        np.random.default_rng([seed, 3]).shuffle(r)
+        dense = _dense_sums(r, h)(None, (0,))[0] / m
+        assert np.max(np.abs(kernel_row_means(r, h) - dense) / dense) <= 1e-12
+
+    def test_equal_residual_clusters_are_exact(self):
+        # Each cluster's first box is centred on its minimum, so equal
+        # residuals sit at offset 0, where only the expansions' constant
+        # terms survive: the odd sums, and so the gradient, are exactly 0.
+        r = np.repeat([-5.0, 5.0, 20.0], [200, 250, 100])
+        np.random.default_rng(16).shuffle(r)
+        v, g = fast_kernel(r, 1.0)
+        assert v == dense_kernel(r, 1.0)[0]
+        assert not np.any(g)
+        v, g = fast_kernel(np.full(_FGT_MIN_M, 3.7), 0.9)
+        assert v == 0.0 and not np.any(g)
+
+
 class TestResidualHessian:
     """Exact residual-space Hessian-vector products against their oracles.
 
