@@ -284,12 +284,12 @@ def high_delta_upper(hdi: HighDeltaInputs) -> float:
     return (-a + math.sqrt(disc)) / (4.0 * bi.zeta2)
 
 
-def high_delta_order(eps: float, b_coef: float = 1.0) -> float:
-    """Order-level shape of the high-isometry bound:
-    -(1 - B eps^2) + sqrt((1 - B eps^2)^2 + B eps^2)."""
-    be2 = b_coef * eps * eps
-    a = 1.0 - be2
-    return -a + math.sqrt(a * a + be2)
+def high_delta_order(eps: float) -> float:
+    """Order-level shape of the high-isometry bound at unit coefficient B:
+    -(1 - eps^2) + sqrt((1 - eps^2)^2 + eps^2)."""
+    e2 = eps * eps
+    a = 1.0 - e2
+    return -a + math.sqrt(a * a + e2)
 
 
 def mse_high_delta_upper(bi: BoundInputs) -> float:

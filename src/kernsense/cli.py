@@ -97,6 +97,10 @@ class SweepConfig:
                                      or not isinstance(value, want)):
                 raise ValueError(f"config key {f.name!r} must be of type "
                                  f"{f.type}, got {value!r}")
+        for name in ("h", "lambda_mix", "init_scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         eg = self.eps_grid
         if not all(isinstance(e, numbers.Real) and not isinstance(e, bool)
                    and math.isfinite(e) and e >= 0 for e in eg):

@@ -27,7 +27,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -300,16 +299,6 @@ class ConstantEstimates:
     l2: float
     samples: int
     seed: int
-
-    def to_json(self) -> str:
-        keys = ("zeta1", "zeta2", "rho", "lambda1", "lambda2", "g_min",
-                "b_max", "l1", "l2", "samples", "seed")
-        return json.dumps({k: getattr(self, k) for k in keys},
-                          indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConstantEstimates":
-        return cls(**json.loads(text))
 
 
 def estimate_constants(spec: LossSpec, instance, samples: int,

@@ -113,18 +113,6 @@ class SensingOperator:
             raise ValueError(f"packed matrix for n={self.n}, m={self.m} must "
                              f"be {shape}, got {self.P.shape}")
 
-    @classmethod
-    def from_mats(cls, mats: np.ndarray) -> "SensingOperator":
-        """Pack a full (m, n, n) array of exactly symmetric matrices."""
-        mats = np.asarray(mats, dtype=float)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError(f"expected an (m, n, n) array, got {mats.shape}")
-        if not np.array_equal(mats, mats.transpose(0, 2, 1)):
-            raise ValueError("sensing matrices must be symmetric")
-        m, n = mats.shape[:2]
-        iu = _packing(n)[0]
-        return cls(n=n, m=m, P=mats[:, iu[0], iu[1]])
-
     @property
     def mats(self) -> np.ndarray:
         """The full (m, n, n) array, unpacked on every access (not cached)."""
@@ -300,17 +288,13 @@ def orthonormal_basis_operator(n: int) -> SensingOperator:
 
     Uses all n^2 matrices sym(e_a e_b^T); for symmetric X the measurement
     vector is just the entries X_ab, hence ||A(X)||^2 = ||X||_F^2 exactly
-    and the restricted-isometry constant is 0.
+    and the restricted-isometry constant is 0.  Row a n + b of P holds 1.0
+    at the packed position of (a, a), or 0.5 at that of (a, b), a != b.
     """
-    eye = np.eye(n)
-    mats = np.empty((n * n, n, n))
-    k = 0
-    for a in range(n):
-        for b in range(n):
-            e = np.outer(eye[a], eye[b])
-            mats[k] = 0.5 * (e + e.T)
-            k += 1
-    return SensingOperator.from_mats(mats)
+    P = np.zeros((n * n, n * (n + 1) // 2))
+    P[np.arange(n * n), _packing(n)[2].ravel()] = np.where(
+        np.eye(n, dtype=bool).ravel(), 1.0, 0.5)
+    return SensingOperator(n=n, m=n * n, P=P)
 
 
 def _stacked_product(x: np.ndarray, A: np.ndarray) -> np.ndarray:

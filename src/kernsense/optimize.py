@@ -138,8 +138,11 @@ class SolverConfig:
         check_eta(self.eta)
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.grad_tol < 0:
-            raise ValueError("grad_tol must be >= 0")
+        if not 0 <= self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be finite and >= 0, got "
+                             f"{self.grad_tol}")
+        if not math.isfinite(self.init_scale):
+            raise ValueError(f"init_scale must be finite, got {self.init_scale}")
         if self.init not in ("spectral", "ground_truth_perturbed", "explicit"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.init == "explicit" and self.init_X0 is None:
@@ -285,12 +288,12 @@ def project_rank_r(M: np.ndarray, r: int) -> np.ndarray:
     return (vecs[:, keep] * lam) @ vecs[:, keep].T
 
 
-def dist_factor(X: np.ndarray, M: np.ndarray, rank_tol: float = 1e-8) -> float:
+def dist_factor(X: np.ndarray, M: np.ndarray) -> float:
     """min over Z with Z Z^T = M of ||X - Z||_F.
 
     Computed as ||X - Z0 Q*||_F where Z0 carries the top-r eigenpairs of M
     and Q* solves the orthogonal Procrustes problem.  M must be PSD of rank
-    at most r = X.shape[1].
+    at most r = X.shape[1], to within 1e-8 of max(|eigenvalue|, 1).
     """
     X = np.asarray(X, dtype=float)
     M = np.asarray(M, dtype=float)
@@ -298,10 +301,10 @@ def dist_factor(X: np.ndarray, M: np.ndarray, rank_tol: float = 1e-8) -> float:
     if M.shape != (n, n):
         raise ValueError(f"M must be {n} x {n}, got {M.shape}")
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    scale = max(abs(vals[0]), abs(vals[-1]), 1.0)
-    if vals[0] < -rank_tol * scale:
+    tol = 1e-8 * max(abs(vals[0]), abs(vals[-1]), 1.0)
+    if vals[0] < -tol:
         raise ValueError("M must be positive semidefinite")
-    if n > r and vals[-(r + 1)] > rank_tol * scale:
+    if n > r and vals[-(r + 1)] > tol:
         raise ValueError(f"rank(M) exceeds r={r}")
     lam = np.clip(vals[-r:], 0.0, None)
     Z0 = vecs[:, -r:] * np.sqrt(lam)

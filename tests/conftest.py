@@ -1,5 +1,3 @@
-import pytest
-
 _ACCEPTANCE_RESULTS = []
 
 

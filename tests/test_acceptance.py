@@ -13,13 +13,12 @@ from conftest import record_acceptance
 from kernsense import bounds as bd
 from kernsense.cli import SweepConfig, run_sweep
 from kernsense.empirics import (estimate_lambda12, estimate_rho,
-                                estimate_zeta2, finite_diff_check,
-                                residual_constants)
+                                estimate_zeta2, finite_diff_check)
 from kernsense.losses import (LossSpec, grad_residual, hessian_quadratic_form,
                               lambda_min_hessian, loss_value)
-from kernsense.model import (NoiseModel, apply_op, estimate_rip,
-                             full_rank_defect, make_instance,
-                             orthonormal_basis_operator, prob_norm_bound)
+from kernsense.model import (NoiseModel, estimate_rip, full_rank_defect,
+                             make_instance, orthonormal_basis_operator,
+                             prob_norm_bound)
 from kernsense.optimize import (ConvergenceBoundInputs, SolverConfig,
                                 auto_step_size, error_frobenius,
                                 gradient_descent, spectral_init,

@@ -1,10 +1,8 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
-from kernsense import bounds as bd
 from kernsense.bounds import (PEAK_EPS, PEAK_VAL, BoundInputs, HighDeltaInputs,
                               bandwidth_rule, combined_bound, compute_report,
                               delta_condition, general_loss_bound,
@@ -115,9 +113,6 @@ class TestTurningPoint:
     def test_exact_peak_bandwidth(self):
         tp = turning_point(math.sqrt(PEAK_VAL))
         assert tp.eps_star == pytest.approx(PEAK_EPS, abs=1e-8)
-
-    def test_above_peak_no_crossing(self):
-        assert turning_point(math.sqrt(2 * PEAK_VAL)).eps_star is None
 
     def test_bisection_residual(self):
         tp = turning_point(0.3)

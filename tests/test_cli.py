@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +92,34 @@ def test_bounds_non_finite_input_exit_two(tmp, capsys, flag, value):
     assert code == 2
     assert "finite" in capsys.readouterr().err
     assert not (tmp / "rep.json").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--grad-tol", "nan"),
+                                        ("--grad-tol", "inf"),
+                                        ("--init-scale", "nan"),
+                                        ("--init-scale", "inf")])
+def test_solve_non_finite_setting_exit_two(tmp, capsys, flag, value):
+    # Each would run silently: a NaN grad_tol never stops the loop, an
+    # infinite one stops it at once as converged, and a non-finite
+    # init_scale reads as a diverged solve (exit 3).
+    inst_file = tmp / "inst.json"
+    main(["gen", "--n", "6", "--rank", "2", "--m", "40", "--spectrum", "2,1",
+          "--noise", "gaussian", "--noise-params", "sigma=0.1", "--seed", "3",
+          "--out", str(inst_file)])
+    code = main(["solve", "--instance", str(inst_file), "--init",
+                 "ground_truth_perturbed", "--max-iters", "5", flag, value,
+                 "--out", str(tmp / "run")])
+    assert code == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp / "run_summary.json").exists()
+
+
+@pytest.mark.parametrize("key", ["h", "lambda_mix", "init_scale"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_sweep_config_rejects_non_finite(key, value):
+    # Checked whatever losses are swept, here the MSE alone.
+    with pytest.raises(ValueError, match=key):
+        SweepConfig(losses=("mse",), **{key: value})
 
 
 def test_solve_explicit_init_needs_init_file(tmp, capsys):

@@ -1,17 +1,15 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from kernsense.empirics import (ConstantEstimates, estimate_constants,
-                                estimate_lambda12, estimate_rho,
-                                estimate_zeta1, estimate_zeta2,
+from kernsense.empirics import (estimate_constants, estimate_lambda12,
+                                estimate_rho, estimate_zeta1, estimate_zeta2,
                                 finite_diff_check, residual_constants)
-from kernsense.losses import (_FGT_MIN_M, MSE, LossSpec, grad_M, grad_X,
-                              hvp_residual)
+from kernsense.losses import _FGT_MIN_M, MSE, LossSpec, grad_M, hvp_residual
 from kernsense.model import (_OP_BLOCK, NoiseModel, adjoint_op, apply_op,
                              estimate_rip, make_instance,
-                             orthonormal_basis_operator,
                              random_low_rank_symmetric)
 
 
@@ -66,11 +64,6 @@ class TestZeta2:
 
 
 class TestRho:
-    def test_orthonormal_basis_exact_two(self):
-        op = orthonormal_basis_operator(4)
-        rho = estimate_rho(LossSpec.mse(), op, np.zeros(16), samples=30, seed=9)
-        assert abs(rho - 2.0) < 1e-9
-
     def test_degenerate_pairs_rejected(self, inst):
         with pytest.raises(ValueError):
             estimate_rho(LossSpec.mse(), inst.op, inst.measurements,
@@ -159,26 +152,15 @@ class TestFiniteDiffCheck:
                                 clean.truth.factor, tol=1e-6)
         assert rep.passed and rep.vacuous and rep.grad_norm < 1e-10
 
-    def test_mutated_gradient_fails(self, inst):
-        X = np.random.default_rng(19).standard_normal((6, 2))
-        rep = finite_diff_check(
-            LossSpec.mse(), inst.op, inst.measurements, X, tol=1e-6,
-            grad_fn=lambda s, o, b, x: -grad_X(s, o, b, x))
-        assert not rep.passed
-
 
 class TestConstantEstimates:
-    def test_bundle_and_json_round_trip(self, inst):
+    def test_bundle(self, inst):
         est = estimate_constants(LossSpec.mse(), inst, samples=30, seed=20)
         assert est.l2 == 0.0
         assert est.l1 >= 2.0
-        text = est.to_json()
-        back = ConstantEstimates.from_json(text)
-        assert back == est
-        import json
-        keys = set(json.loads(text))
-        assert keys == {"zeta1", "zeta2", "rho", "lambda1", "lambda2",
-                        "g_min", "b_max", "l1", "l2", "samples", "seed"}
+        assert {f.name for f in fields(est)} == {
+            "zeta1", "zeta2", "rho", "lambda1", "lambda2", "g_min", "b_max",
+            "l1", "l2", "samples", "seed"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Every name a kernsense module imports is used in that module.
+"""Every name a kernsense module or test module imports is used there.
 
 A stdlib-ast stand-in for a linter's unused-import rule.  The package's
 __init__.py is exempt (its imports are the re-exports), and so are
@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kernsense"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "kernsense"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

@@ -14,8 +14,8 @@ from kernsense.losses import (_FGT_MIN_M, LossSpec, _dense_sums, _fgt_sums,
                               hessian_vector_product, hvp_residual,
                               kernel_row_means, lambda_min_hessian,
                               loss_and_grad_residual, loss_value, residuals)
-from kernsense.model import (NoiseModel, adjoint_op, apply_op, estimate_rip,
-                             gen_gaussian_operator, make_instance,
+from kernsense.model import (NoiseModel, SensingOperator, adjoint_op,
+                             apply_op, make_instance,
                              orthonormal_basis_operator,
                              random_low_rank_symmetric)
 from kernsense.optimize import SolverConfig, gradient_descent
@@ -77,27 +77,6 @@ class TestResiduals:
 
 
 class TestLossValue:
-    def test_kernel_zero_on_constant(self):
-        spec = LossSpec.kernel(0.7)
-        assert loss_value(spec, np.zeros(9)) == 0.0
-        assert loss_value(spec, np.full(9, 3.14)) == 0.0
-
-    def test_kernel_translation_invariance(self):
-        spec = LossSpec.kernel(1.3)
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            r = rng.standard_normal(rng.integers(2, 25))
-            c = rng.uniform(-10, 10)
-            assert abs(loss_value(spec, r + c) - loss_value(spec, r)) < 1e-12
-
-    def test_mse_not_translation_invariant(self):
-        rng = np.random.default_rng(5)
-        spec = LossSpec.mse()
-        for _ in range(40):
-            r = rng.standard_normal(10)
-            c = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
-            assert loss_value(spec, r + c) != loss_value(spec, r)
-
     def test_kernel_frozen_scalar(self):
         h = 1.0
         val = loss_value(LossSpec.kernel(h), np.array([0.0, h]))
@@ -109,12 +88,6 @@ class TestLossValue:
         assert 2 / r.size * loss_value(LossSpec.mse(), r) == 1.0
         assert loss_value(LossSpec.mse(), r) == 1.0
         assert loss_value(LossSpec.mse(), np.array([2.0])) == 2.0
-
-    def test_kernel_nonnegative(self):
-        spec = LossSpec.kernel(0.9)
-        rng = np.random.default_rng(6)
-        for _ in range(50):
-            assert loss_value(spec, rng.standard_normal(12)) >= 0.0
 
     def test_combined_interpolates_values(self):
         rng = np.random.default_rng(7)
@@ -147,12 +120,6 @@ class TestKernelGradResidual:
             fd[i] = (loss_value(LossSpec.kernel(1.0), rp)
                      - loss_value(LossSpec.kernel(1.0), rm)) / (2 * t)
         assert np.abs(g - fd).max() / np.abs(fd).max() < 1e-7
-
-    def test_sum_zero_property(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            r = rng.standard_normal(rng.integers(2, 40)) * rng.uniform(0.1, 5)
-            assert abs(grad_residual(LossSpec.kernel(0.8), r).sum()) < 1e-10
 
 
 def dense_kernel(r, h):
@@ -486,10 +453,8 @@ class TestGradX:
         assert np.abs(ga - fd).max() / np.abs(fd).max() < 1e-6
 
     def test_joint_scaling_keeps_zero_set(self):
-        from dataclasses import replace
-        from kernsense.model import SensingOperator
         inst = make_instance(5, 2, 20, (2, 1), NoiseModel.gaussian(0.0), seed=17)
-        op2 = SensingOperator.from_mats(3.0 * inst.op.mats)
+        op2 = SensingOperator(n=5, m=20, P=3.0 * inst.op.P)
         b2 = 3.0 * inst.measurements
         g = grad_X(LossSpec.kernel(1.0), op2, b2, inst.truth.factor)
         assert np.abs(g).max() < 1e-12
@@ -536,17 +501,6 @@ class TestHessian:
         q = hessian_quadratic_form(LossSpec.mse(), op, np.zeros(16),
                                    np.eye(4), K)
         assert abs(q - 2 * np.sum(K * K)) < 1e-10
-
-    def test_mse_independent_of_M(self):
-        inst = make_instance(6, 2, 40, (2, 1), NoiseModel.gaussian(0.1), seed=19)
-        rng = np.random.default_rng(20)
-        K = rng.standard_normal((6, 6)); K = 0.5 * (K + K.T)
-        vals = []
-        for _ in range(2):
-            M = rng.standard_normal((6, 6)); M = 0.5 * (M + M.T)
-            vals.append(hessian_quadratic_form(LossSpec.mse(), inst.op,
-                                               inst.measurements, M, K))
-        assert abs(vals[0] - vals[1]) < 1e-9
 
     def test_kernel_two_schemes_agree(self):
         inst = make_instance(6, 2, 40, (2, 1), NoiseModel.gaussian(0.1), seed=21)
@@ -651,27 +605,6 @@ class TestLambdaMin:
         res = lambda_min_hessian(LossSpec.kernel(0.5), inst.op, b,
                                  inst.truth.matrix, iters=10, seed=0)
         assert math.isnan(res.value) and not res.converged
-
-    def test_mse_orthonormal_exact(self):
-        op = orthonormal_basis_operator(4)
-        res = lambda_min_hessian(LossSpec.mse(), op, np.zeros(16), np.eye(4),
-                                 iters=200, seed=0)
-        assert res.converged
-        assert abs(res.value - 2.0) < 1e-6
-
-    def test_mse_gaussian_respects_rip_floor(self):
-        # The Hessian acts on the whole symmetric space, so the matching
-        # isometry constant is the exact full-rank defect (the sampled
-        # rank-restricted estimate is only a lower bound and need not
-        # dominate the eigensolver's minimum).
-        from kernsense.model import full_rank_defect
-        inst = make_instance(6, 2, 500, (2, 1), NoiseModel.gaussian(0.05), seed=23)
-        delta = full_rank_defect(inst.op)
-        res = lambda_min_hessian(LossSpec.mse(), inst.op, inst.measurements,
-                                 inst.truth.matrix, iters=300, seed=1)
-        assert res.value >= 2 * (1 - delta) - 1e-6
-        sampled = estimate_rip(inst.op, 4, 100, seed=24).delta_hat
-        assert sampled <= delta
 
     def test_kernel_psd_at_global_min(self):
         inst = make_instance(5, 2, 30, (2, 1), NoiseModel.gaussian(0.0), seed=25)

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from kernsense.empirics import estimate_rho
 from kernsense.losses import LossSpec
-from kernsense.model import (NoiseModel, estimate_rip, make_instance)
+from kernsense.model import NoiseModel, make_instance
 from kernsense.optimize import (ConvergenceBoundInputs, SolverConfig,
                                 auto_step_size, dist_factor, error_frobenius,
                                 gradient_descent, project_rank_r,
-                                spectral_init, step_size_bound, trace_csv)
+                                step_size_bound, trace_csv)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -98,28 +97,6 @@ class TestGradientDescent:
         assert res.iterations_run < 200
         assert len(res.loss_trace) == res.iterations_run + 1
 
-    def test_descent_at_half_bound(self):
-        # eta = 0.5 x step_size_bound with the matching empirically
-        # estimated rho keeps every step non-increasing.
-        for seed in (5, 6):
-            inst = make_instance(7, 2, 84, (2, 0.8),
-                                 NoiseModel.gaussian(0.05), seed=seed)
-            scale = float(np.linalg.norm(inst.truth.matrix))
-            delta = min(estimate_rip(inst.op, 4, 40, seed).delta_hat, 0.99)
-            X0 = spectral_init(inst.op, inst.measurements, 2)
-            for spec in (LossSpec.mse(), LossSpec.kernel(1.0),
-                         LossSpec.combined(0.5, 1.0)):
-                rho = estimate_rho(spec, inst.op, inst.measurements, 30,
-                                   seed + 1, rank=2, scale=scale)
-                ci = ConvergenceBoundInputs(
-                    rho=rho, rank=2, delta=delta,
-                    norm_Mw=float(np.linalg.norm(X0 @ X0.T)))
-                res = gradient_descent(inst, spec, SolverConfig(
-                    eta=0.5 * step_size_bound(spec, ci), max_iters=400,
-                    grad_tol=0.0, init="ground_truth_perturbed",
-                    init_scale=0.2, seed=seed))
-                assert np.all(np.diff(res.loss_trace) <= 1e-10)
-
     def test_auto_kernel_equals_h2_times_auto_mse(self):
         inst = make_instance(8, 2, 120, (2, 1), NoiseModel.gaussian(0.1), seed=7)
         e_mse = auto_step_size(inst, LossSpec.mse(), "auto", seed=3)
@@ -144,32 +121,8 @@ class TestProjectRankR:
         P = project_rank_r(np.diag([1.0, -5.0]), 1)
         assert np.allclose(P, np.diag([1.0, 0.0]), atol=1e-14)
 
-    def test_psd_rank_and_optimality(self):
-        rng = np.random.default_rng(9)
-        M = rng.standard_normal((6, 6)); M = 0.5 * (M + M.T)
-        P = project_rank_r(M, 2)
-        ev = np.linalg.eigvalsh(P)
-        assert ev.min() >= -1e-12
-        assert np.sum(ev > 1e-10) <= 2
-        d = np.linalg.norm(P - M)
-        for _ in range(100):
-            Z = rng.standard_normal((6, 2))
-            assert np.linalg.norm(Z @ Z.T - M) >= d - 1e-9
-
 
 class TestDistFactor:
-    def test_zero_for_own_factor(self):
-        X = np.random.default_rng(10).standard_normal((5, 2))
-        assert dist_factor(X, X @ X.T) < 1e-10
-
-    def test_rotation_invariance(self):
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((5, 2))
-        Z = rng.standard_normal((5, 2))
-        M = Z @ Z.T
-        q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-        assert abs(dist_factor(X @ q, M) - dist_factor(X, M)) < 1e-10
-
     def test_rank_one_sign_enumeration(self):
         # Oracle: rank-1 PSD M = lam u u^T admits exactly Z = +-sqrt(lam) u.
         rng = np.random.default_rng(12)
@@ -187,17 +140,6 @@ class TestDistFactor:
         Z = rng.standard_normal((5, 3))
         with pytest.raises(ValueError):
             dist_factor(rng.standard_normal((5, 2)), Z @ Z.T)
-
-    def test_curvature_sandwich(self):
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            X = rng.standard_normal((5, 2))
-            Z = rng.standard_normal((5, 2))
-            M = Z @ Z.T
-            sigma_r = np.linalg.eigvalsh(M)[-2]
-            lhs = dist_factor(X, M) ** 2
-            rhs = error_frobenius(X, M) ** 2 / (2 * (SQRT2 - 1) * sigma_r)
-            assert lhs <= rhs * (1 + 1e-9)
 
 
 class TestErrorFrobenius:
