@@ -10,6 +10,7 @@ from kernsense.empirics import (estimate_constants, estimate_lambda12,
 from kernsense.losses import _FGT_MIN_M, MSE, LossSpec, grad_M, hvp_residual
 from kernsense.model import (_OP_BLOCK, NoiseModel, adjoint_op, apply_op,
                              estimate_rip, make_instance,
+                             orthonormal_basis_operator,
                              random_low_rank_symmetric)
 
 
@@ -64,6 +65,11 @@ class TestZeta2:
 
 
 class TestRho:
+    def test_orthonormal_basis_exact_two(self):
+        op = orthonormal_basis_operator(4)
+        rho = estimate_rho(LossSpec.mse(), op, np.zeros(16), samples=30, seed=9)
+        assert abs(rho - 2.0) < 1e-9
+
     def test_degenerate_pairs_rejected(self, inst):
         with pytest.raises(ValueError):
             estimate_rho(LossSpec.mse(), inst.op, inst.measurements,

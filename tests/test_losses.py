@@ -15,7 +15,7 @@ from kernsense.losses import (_FGT_MIN_M, LossSpec, _dense_sums, _fgt_sums,
                               kernel_row_means, lambda_min_hessian,
                               loss_and_grad_residual, loss_value, residuals)
 from kernsense.model import (NoiseModel, SensingOperator, adjoint_op,
-                             apply_op, make_instance,
+                             apply_op, estimate_rip, make_instance,
                              orthonormal_basis_operator,
                              random_low_rank_symmetric)
 from kernsense.optimize import SolverConfig, gradient_descent
@@ -77,6 +77,11 @@ class TestResiduals:
 
 
 class TestLossValue:
+    def test_kernel_zero_on_constant(self):
+        spec = LossSpec.kernel(0.7)
+        assert loss_value(spec, np.zeros(9)) == 0.0
+        assert loss_value(spec, np.full(9, 3.14)) == 0.0
+
     def test_kernel_frozen_scalar(self):
         h = 1.0
         val = loss_value(LossSpec.kernel(h), np.array([0.0, h]))
@@ -88,6 +93,12 @@ class TestLossValue:
         assert 2 / r.size * loss_value(LossSpec.mse(), r) == 1.0
         assert loss_value(LossSpec.mse(), r) == 1.0
         assert loss_value(LossSpec.mse(), np.array([2.0])) == 2.0
+
+    def test_kernel_nonnegative(self):
+        spec = LossSpec.kernel(0.9)
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            assert loss_value(spec, rng.standard_normal(12)) >= 0.0
 
     def test_combined_interpolates_values(self):
         rng = np.random.default_rng(7)
@@ -605,6 +616,20 @@ class TestLambdaMin:
         res = lambda_min_hessian(LossSpec.kernel(0.5), inst.op, b,
                                  inst.truth.matrix, iters=10, seed=0)
         assert math.isnan(res.value) and not res.converged
+
+    def test_mse_gaussian_respects_rip_floor(self):
+        # The Hessian acts on the whole symmetric space, so the matching
+        # isometry constant is the exact full-rank defect (the sampled
+        # rank-restricted estimate is only a lower bound and need not
+        # dominate the eigensolver's minimum).
+        from kernsense.model import full_rank_defect
+        inst = make_instance(6, 2, 500, (2, 1), NoiseModel.gaussian(0.05), seed=23)
+        delta = full_rank_defect(inst.op)
+        res = lambda_min_hessian(LossSpec.mse(), inst.op, inst.measurements,
+                                 inst.truth.matrix, iters=300, seed=1)
+        assert res.value >= 2 * (1 - delta) - 1e-6
+        sampled = estimate_rip(inst.op, 4, 100, seed=24).delta_hat
+        assert sampled <= delta
 
     def test_kernel_psd_at_global_min(self):
         inst = make_instance(5, 2, 30, (2, 1), NoiseModel.gaussian(0.0), seed=25)

@@ -123,6 +123,18 @@ class TestProjectRankR:
 
 
 class TestDistFactor:
+    def test_zero_for_own_factor(self):
+        X = np.random.default_rng(10).standard_normal((5, 2))
+        assert dist_factor(X, X @ X.T) < 1e-10
+
+    def test_rotation_invariance(self):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((5, 2))
+        Z = rng.standard_normal((5, 2))
+        M = Z @ Z.T
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        assert abs(dist_factor(X @ q, M) - dist_factor(X, M)) < 1e-10
+
     def test_rank_one_sign_enumeration(self):
         # Oracle: rank-1 PSD M = lam u u^T admits exactly Z = +-sqrt(lam) u.
         rng = np.random.default_rng(12)
