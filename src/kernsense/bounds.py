@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 from .losses import LossSpec
@@ -86,6 +86,8 @@ class BoundInputs:
             raise ValueError("eps must be finite and >= 0")
         if not (self.h > 0 and math.isfinite(self.h)):
             raise ValueError("h must be finite and > 0")
+        if not self.n_meas >= 1:
+            raise ValueError(f"n_meas must be >= 1, got {self.n_meas}")
 
     @property
     def l1_eff(self) -> float:
@@ -242,10 +244,14 @@ def delta_condition(bi: BoundInputs, mode: str = "conservative") -> DeltaConditi
     elif mode == "noise_aware":
         if bi.sigma_r <= 0:
             raise ValueError("noise_aware mode needs sigma_r > 0")
-        e2 = math.exp(bi.eps ** 2 / bi.h ** 2)
-        num = bi.h ** 4 * (2.0 - bi.g_scale / bi.sigma_r
-                           - 2.0 * bi.eps * bi.l2 * e2 / bi.h ** 2)
-        den = 8.0 * e2 * (bi.h ** 2 + 2.0 * bi.eps ** 2 + 2.0 * bi.eps ** 2 * e2)
+        # h^4 (2 - G/sigma_r - 2 eps L2 e / h^2) / (8 e (h^2 + 2 eps^2 (1 + e)))
+        # at e = exp(eps^2/h^2), both sides divided by e^2 so that a small
+        # h cannot overflow: q = 1/e lies in [0, 1].
+        h2, e2 = bi.h ** 2, bi.eps ** 2
+        q = math.exp(-e2 / h2)
+        num = h2 * q * (h2 * (2.0 - bi.g_scale / bi.sigma_r) * q
+                        - 2.0 * bi.eps * bi.l2)
+        den = 8.0 * q * (h2 + 2.0 * e2) + 16.0 * e2
         ratio = num / den
         val = math.sqrt(ratio) - 1.0 if ratio >= 0 else float("nan")
     else:
@@ -367,10 +373,8 @@ class BoundReport:
 
     def to_json(self) -> str:
         doc = {
-            "inputs": {k: getattr(self.inputs, k) for k in
-                       ("delta", "eps", "h", "zeta1", "zeta2", "g_min",
-                        "b_max", "l2", "sigma_r", "g_scale", "l_smooth",
-                        "lambda_min", "c_extra", "n_meas")},
+            "inputs": {f.name: getattr(self.inputs, f.name)
+                       for f in fields(self.inputs) if f.name != "l1"},
             "l1": self.inputs.l1_eff,
             "values": self.values,
             "errors": self.errors,

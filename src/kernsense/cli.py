@@ -15,6 +15,7 @@ import numbers
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -63,10 +64,12 @@ class SweepConfig:
     through prob_norm_bound for a probability-axis label.  The noise is
     not centered.
 
-    eta is a positive number or a selector from optimize.ETA_SELECTORS.
-    The kernel-loss error bound uses the lambda_min that Lanczos
+    losses (no kind twice) and eps_grid must be non-empty.  eta is a
+    positive number or a selector from optimize.ETA_SELECTORS.  The
+    kernel-loss error bound uses the lambda_min that Lanczos
     (LAMBDA_MIN_ITERS steps) measures on the Hessian at the ground truth,
-    the quantity the bound is stated for.
+    the quantity the bound is stated for.  workers > 1 runs the trials on
+    a thread pool.
     """
 
     n: int = 40
@@ -102,6 +105,8 @@ class SweepConfig:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         eg = self.eps_grid
+        if not eg:
+            raise ValueError("eps_grid must not be empty")
         if not all(isinstance(e, numbers.Real) and not isinstance(e, bool)
                    and math.isfinite(e) and e >= 0 for e in eg):
             raise ValueError(f"eps_grid values must be finite and >= 0, "
@@ -115,9 +120,13 @@ class SweepConfig:
         if self.delta_regime not in ("low", "high"):
             raise ValueError("delta_regime must be 'low' or 'high'")
         check_eta(self.eta)
+        if not self.losses:
+            raise ValueError("losses must not be empty")
         for k in self.losses:
             if k not in LOSS_KINDS:
                 raise ValueError(f"unknown loss {k!r}")
+        if len(set(self.losses)) < len(self.losses):
+            raise ValueError(f"losses must not repeat a kind, got {self.losses}")
 
     @property
     def m_eff(self) -> int:
@@ -169,21 +178,11 @@ def _trial_base(config: SweepConfig, trial: int):
     return inst, direction, min(delta, 0.999)
 
 
-def _at_eps(inst: ProblemInstance, direction: np.ndarray,
-            eps: float) -> ProblemInstance:
-    w = eps * direction
-    b = apply_op(inst.op, inst.truth.matrix) + w
-    return replace(inst, noise=w, measurements=b)
-
-
-def _run_cell(config: SweepConfig, loss_kind: str, eps: float, trial: int,
-              base, eta, lam_min) -> dict:
-    """One (loss, eps, trial) cell: solve, then constants and the bound."""
-    inst0, direction, delta = base
-    inst = _at_eps(inst0, direction, eps)
-    spec = _loss_spec(loss_kind, config.h, config.lambda_mix)
+def _run_cell(config: SweepConfig, trial: int, spec: LossSpec,
+              inst: ProblemInstance, eps: float, delta: float, eta,
+              lam_min) -> dict:
+    """One (loss, eps) cell of a trial: solve, then constants and the bound."""
     flags = []
-
     res = gradient_descent(inst, spec, SolverConfig(
         eta=eta, max_iters=config.max_iters, grad_tol=1e-9,
         init="ground_truth_perturbed", init_scale=config.init_scale,
@@ -203,13 +202,13 @@ def _run_cell(config: SweepConfig, loss_kind: str, eps: float, trial: int,
                                 _trial_seed(config.base_seed, trial, 4),
                                 rank=min(2 * config.r, config.n))
 
-    # Residual constants at the ground truth: residuals there equal w.
-    g_min, b_max = residual_constants(inst.noise, config.h)
     bound = math.nan
     try:
-        if loss_kind == MSE:
+        if spec.kind == MSE:
             bound = bd.mse_error_upper(bd.BoundInputs(delta=delta, eps=eps))
-        elif loss_kind == KERNEL:
+        elif spec.kind == KERNEL:
+            # Residual constants at the ground truth: residuals there equal w.
+            g_min, b_max = residual_constants(inst.noise, config.h)
             bi = bd.BoundInputs(delta=delta, eps=eps, h=config.h,
                                 g_min=g_min, b_max=b_max,
                                 lambda_min=lam_min.value)
@@ -224,63 +223,63 @@ def _run_cell(config: SweepConfig, loss_kind: str, eps: float, trial: int,
     except ValueError as exc:
         flags.append(f"bound_precondition: {exc}")
 
-    return {"loss": loss_kind, "epsilon": eps, "trial": trial,
-            "real_error": e_real, "bound_error": bound,
-            "lipschitz_L": rho, "hessian_H": lam2,
-            "flags": flags}
+    return {"real_error": e_real, "bound_error": bound,
+            "lipschitz_L": rho, "hessian_H": lam2, "flags": flags}
+
+
+def _run_trial(config: SweepConfig, trial: int) -> dict:
+    """Every (loss, eps) cell of one trial, keyed by (loss, eps).
+
+    Automatic step sizes and the kernel lambda_min are resolved once, on
+    the largest-epsilon instance, and reused across the grid.
+    """
+    inst0, direction, delta = _trial_base(config, trial)
+    b_clean = apply_op(inst0.op, inst0.truth.matrix)
+    insts = {eps: replace(inst0, noise=eps * direction,
+                          measurements=b_clean + eps * direction)
+             for eps in config.eps_grid}
+    inst_top = insts[config.eps_grid[-1]]
+    lam_min = None
+    if KERNEL in config.losses:
+        # The smallest Hessian eigenvalue at the truth moves by well under a
+        # percent across the grid (the weights see only the residual
+        # spread), so per-cell re-measurement buys nothing but runtime.
+        lam_min = lambda_min_hessian(
+            LossSpec.kernel(config.h), inst_top.op, inst_top.measurements,
+            inst_top.truth.matrix, iters=LAMBDA_MIN_ITERS,
+            seed=_trial_seed(config.base_seed, trial, 5))
+    cells = {}
+    for loss in config.losses:
+        spec = _loss_spec(loss, config.h, config.lambda_mix)
+        eta = (auto_step_size(inst_top, spec, config.eta,
+                              seed=_trial_seed(config.base_seed, trial, 6),
+                              rho_samples=16)
+               if isinstance(config.eta, str) else float(config.eta))
+        for eps in config.eps_grid:
+            cells[(loss, eps)] = _run_cell(config, trial, spec, insts[eps],
+                                           eps, delta, eta, lam_min)
+    return cells
 
 
 def run_sweep(config: SweepConfig) -> list:
-    """Execute the sweep; returns SweepRow per (loss, epsilon).
+    """Execute the sweep; returns SweepRow per (loss, epsilon), each the
+    mean over the trials.
 
-    Cells are independent given their derived seeds, so execution order
+    Trials are independent given their derived seeds, so execution order
     (and thread count) cannot change the result; rows are reduced in a
-    fixed order.  Automatic step sizes are resolved once per (loss, trial)
-    on the largest-epsilon instance and reused across the grid.
+    fixed order.  With workers > 1 the trials run on a thread pool.
     """
-    bases = {t: _trial_base(config, t) for t in range(config.trials)}
-    etas = {}
-    lam_meas = {}
-    for t in range(config.trials):
-        inst0, direction, _ = bases[t]
-        inst_top = _at_eps(inst0, direction, config.eps_grid[-1])
-        for loss in config.losses:
-            if isinstance(config.eta, str):
-                etas[(loss, t)] = auto_step_size(
-                    inst_top, _loss_spec(loss, config.h, config.lambda_mix),
-                    config.eta,
-                    seed=_trial_seed(config.base_seed, t, 6), rho_samples=16)
-            else:
-                etas[(loss, t)] = float(config.eta)
-        if KERNEL in config.losses:
-            # Measured once per trial at the top of the grid: the smallest
-            # Hessian eigenvalue at the truth moves by well under a percent
-            # across the grid (the weights see only the residual spread),
-            # so per-cell re-measurement buys nothing but runtime.
-            lam_meas[t] = lambda_min_hessian(
-                LossSpec.kernel(config.h), inst_top.op,
-                inst_top.measurements, inst_top.truth.matrix,
-                iters=LAMBDA_MIN_ITERS,
-                seed=_trial_seed(config.base_seed, t, 5))
-    cells = [(loss, eps, t) for loss in config.losses
-             for eps in config.eps_grid for t in range(config.trials)]
-
-    def work(cell):
-        loss, eps, t = cell
-        return _run_cell(config, loss, eps, t, bases[t], etas[(loss, t)],
-                         lam_meas.get(t))
-
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(work, cells))
+            trials = list(pool.map(partial(_run_trial, config),
+                                   range(config.trials)))
     else:
-        results = [work(c) for c in cells]
+        trials = [_run_trial(config, t) for t in range(config.trials)]
 
-    by_cell = {(r["loss"], r["epsilon"], r["trial"]): r for r in results}
     rows = []
     for loss in config.losses:
         for eps in config.eps_grid:
-            group = [by_cell[(loss, eps, t)] for t in range(config.trials)]
+            group = [cells[(loss, eps)] for cells in trials]
             flags = sorted({f for g in group for f in g["flags"]})
             bounds_ok = [g["bound_error"] for g in group
                          if math.isfinite(g["bound_error"])]
@@ -367,39 +366,29 @@ def _cmd_solve(args) -> int:
     return 3 if res.termination == "non_finite" else 0
 
 
-def _read_config(path: str, allowed) -> dict:
-    """The JSON object in path; a key outside allowed is a usage error."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ValueError(f"{path}: unknown config key(s): "
-                         f"{', '.join(unknown)}")
-    return doc
+def _config_fields(args, cls, extra=()) -> dict:
+    """Fields for cls: the JSON object in --config, where a key outside the
+    fields of cls and extra is a usage error, overridden by every given
+    flag whose dest is a field of cls."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    fields = {}
+    if args.config:
+        fields = json.loads(Path(args.config).read_text())
+        if not isinstance(fields, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+        unknown = sorted(set(fields) - set(names) - set(extra))
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config key(s): "
+                             f"{', '.join(unknown)}")
+    for name in names:
+        value = getattr(args, name, None)
+        if value is not None:
+            fields[name] = value
+    return fields
 
 
 def _sweep_config_from_args(args) -> SweepConfig:
-    fields = {}
-    if args.config:
-        fields.update(_read_config(
-            args.config, [f.name for f in dataclasses.fields(SweepConfig)]))
-    override = {
-        "n": args.n, "r": args.rank, "m": args.m, "h": args.h,
-        "lambda_mix": args.lambda_mix, "trials": args.trials,
-        "base_seed": args.seed, "max_iters": args.max_iters,
-        "out": args.out, "workers": args.workers,
-        "delta_regime": args.delta_regime,
-    }
-    for k, v in override.items():
-        if v is not None:
-            fields[k] = v
-    if args.loss is not None:
-        fields["losses"] = tuple(args.loss.split(","))
-    if args.eps is not None:
-        fields["eps_grid"] = tuple(float(x) for x in args.eps.split(","))
-    if args.eta is not None:
-        fields["eta"] = args.eta
+    fields = _config_fields(args, SweepConfig)
     # JSON has no tuples; other types are checked by SweepConfig.
     for key in ("losses", "eps_grid"):
         if isinstance(fields.get(key), list):
@@ -434,25 +423,17 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-# BoundInputs fields that `bounds` takes as float flags.
-BOUNDS_FLOAT_INPUTS = ("delta", "eps", "h", "zeta1", "zeta2", "g_min", "b_max",
-                       "l1", "l2", "sigma_r", "g_scale", "l_smooth",
-                       "lambda_min", "c_extra")
+# BoundInputs fields that `bounds` takes as float flags; the one int field,
+# n_meas, is taken as an int flag.
+BOUNDS_FLOAT_INPUTS = tuple(f.name for f in dataclasses.fields(bd.BoundInputs)
+                            if f.type != "int")
 # Keys a bounds config may hold beside the BoundInputs fields.
 _HDI_KEYS = ("lambda_rstar", "norm_q", "gamma_min", "u_min_sq")
 _REPORT_KEYS = ("l_star", "lambda_mix", "rho", "rank")
 
 
 def _cmd_bounds(args) -> int:
-    fields = {}
-    if args.config:
-        fields.update(_read_config(
-            args.config, [f.name for f in dataclasses.fields(bd.BoundInputs)]
-            + list(_HDI_KEYS + _REPORT_KEYS)))
-    for name in BOUNDS_FLOAT_INPUTS + ("n_meas",):
-        v = getattr(args, name)
-        if v is not None:
-            fields[name] = v
+    fields = _config_fields(args, bd.BoundInputs, _HDI_KEYS + _REPORT_KEYS)
     hdi_fields = {k: fields.pop(k) for k in _HDI_KEYS if k in fields}
     missing = [k for k in _HDI_KEYS if k not in hdi_fields]
     if hdi_fields and missing:
@@ -507,6 +488,14 @@ def _eta_arg(text: str):
             f"{', '.join(ETA_SELECTORS)}, got {text!r}") from None
 
 
+def _float_tuple(text: str) -> tuple:
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="kernsense",
@@ -552,13 +541,15 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--config", type=str, default=None,
                    help="JSON file with SweepConfig fields (snake_case)")
     w.add_argument("--n", type=int, default=None)
-    w.add_argument("--rank", type=int, default=None)
+    w.add_argument("--rank", dest="r", metavar="RANK", type=int, default=None)
     w.add_argument("--m", type=int, default=None)
-    w.add_argument("--loss", type=str, default=None,
+    w.add_argument("--loss", dest="losses", metavar="LOSS", default=None,
+                   type=lambda text: tuple(text.split(",")),
                    help="comma-separated subset of mse,kernel,combined")
     w.add_argument("--h", type=float, default=None)
     w.add_argument("--lambda-mix", type=float, default=None)
-    w.add_argument("--eps", type=str, default=None,
+    w.add_argument("--eps", dest="eps_grid", metavar="EPS", default=None,
+                   type=_float_tuple,
                    help="comma-separated strictly increasing grid")
     w.add_argument("--trials", type=int, default=None)
     w.add_argument("--delta-regime", type=str, default=None,
@@ -566,16 +557,17 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--eta", type=_eta_arg, default=None)
     w.add_argument("--max-iters", type=int, default=None)
     w.add_argument("--workers", type=int, default=None)
-    w.add_argument("--seed", type=int, default=None)
+    w.add_argument("--seed", dest="base_seed", metavar="SEED", type=int,
+                   default=None)
     w.add_argument("--out", type=str, default=None)
     w.set_defaults(fn=_cmd_sweep)
 
     b = sub.add_parser("bounds", help="evaluate every bound calculator")
     b.add_argument("--config", type=str, default=None)
-    for name in BOUNDS_FLOAT_INPUTS:
-        b.add_argument(f"--{name.replace('_', '-')}", dest=name, type=float,
+    for f in dataclasses.fields(bd.BoundInputs):
+        b.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                       type=float if f.name in BOUNDS_FLOAT_INPUTS else int,
                        default=None)
-    b.add_argument("--n-meas", dest="n_meas", type=int, default=None)
     b.add_argument("--out", type=str, default=None)
     b.set_defaults(fn=_cmd_bounds)
 

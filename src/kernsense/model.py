@@ -158,6 +158,9 @@ class NoiseModel:
         if self.kind not in self._PARAMS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         p = self.params
+        extra = sorted(set(p) - set(self._PARAMS[self.kind]))
+        if extra:
+            raise ValueError(f"unknown {self.kind} noise parameter(s) {extra}")
         for key in self._PARAMS[self.kind]:
             if key not in p:
                 raise ValueError(f"{self.kind} noise needs parameter {key!r}")

@@ -187,7 +187,8 @@ def test_solve_summary_reports_final_grad_norm(tmp):
 
 @pytest.mark.parametrize("noise,params", [("laplace", "sigma=0.1"),
                                           ("gaussian", "sigma=nan"),
-                                          ("student_t", "dof=inf,scale=1")])
+                                          ("student_t", "dof=inf,scale=1"),
+                                          ("gaussian", "sigma=0.1,sgima=0.5")])
 def test_bad_noise_params_exit_two(tmp, capsys, noise, params):
     code = main(["gen", "--n", "5", "--rank", "1", "--m", "20", "--spectrum",
                  "1", "--noise", noise, "--noise-params", params,
@@ -355,6 +356,53 @@ def test_sweep_config_wrong_type_exit_two(tmp, capsys, doc, key):
     assert code == 2
     assert key in capsys.readouterr().err
     assert not (tmp / "out.csv").exists()
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"eps_grid": []}, "eps_grid"),
+    ({"losses": []}, "losses"),
+    ({"losses": ["mse", "kernel", "mse"]}, "losses"),
+    ({"noise_params": {"sigma0": 0.05, "sgima0": 0.5}}, "sgima0"),
+])
+def test_sweep_config_bad_axis_or_noise_exit_two(tmp, capsys, doc, key):
+    # An empty eps_grid crashed, an empty losses wrote a header-only CSV,
+    # and a repeated loss or a misspelt noise parameter ran silently.
+    cfg_file = tmp / "cfg.json"
+    cfg_file.write_text(json.dumps({"n": 6, "r": 2, "trials": 1,
+                                    "max_iters": 5, **doc}))
+    code = main(["sweep", "--config", str(cfg_file),
+                 "--out", str(tmp / "out.csv")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp / "out.csv").exists()
+
+
+@pytest.mark.parametrize("n_meas", [0, -3])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_bounds_n_meas_below_one_exit_two(tmp, capsys, n_meas, from_config):
+    # 0 divided by zero in combined_bound; a negative count was rejected
+    # only by the noise-sensitivity order, with a message about m.
+    args = ["--delta", "0.2", "--eps", "0.5", "--h", "1.0"]
+    if from_config:
+        cfg_file = tmp / "cfg.json"
+        cfg_file.write_text(json.dumps({"n_meas": n_meas}))
+        args += ["--config", str(cfg_file)]
+    else:
+        args += ["--n-meas", str(n_meas)]
+    code = main(["bounds", *args, "--out", str(tmp / "rep.json")])
+    assert code == 2
+    assert "n_meas" in capsys.readouterr().err
+    assert not (tmp / "rep.json").exists()
+
+
+def test_bounds_noise_aware_small_bandwidth_flagged(tmp):
+    # exp(eps^2/h^2) overflowed here, ending the report in a traceback.
+    code = main(["bounds", "--delta", "0.2", "--eps", "0.5", "--h", "0.015",
+                 "--out", str(tmp / "rep.json")])
+    assert code == 0
+    doc = json.loads((tmp / "rep.json").read_text())
+    assert doc["values"]["delta_condition_noise_aware"] == -1.0
+    assert "infeasible" in doc["flags"]["delta_condition_noise_aware"]
 
 
 @pytest.mark.parametrize("given", [("norm_q", "lambda_rstar"), ("gamma_min",)])
