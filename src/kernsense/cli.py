@@ -46,10 +46,22 @@ def _fmt(x: float) -> str:
 # Sweep engine
 # ---------------------------------------------------------------------------
 
-# Python types a SweepConfig value must have, by the field's declared type
-# (bool is rejected where a number is declared).
+# Python types a config value must have, by its declared type (bool is
+# rejected where a number is declared).
 _CONFIG_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str,
-                 "tuple": tuple, "dict": dict}
+                 "tuple": tuple, "dict": dict,
+                 "Optional[float]": (numbers.Real, type(None))}
+
+
+def _check_types(values: dict, types: dict) -> None:
+    """Raise ValueError naming the first key of values whose value does not
+    have the type that types declares for it."""
+    for name, value in values.items():
+        want = _CONFIG_TYPES.get(types.get(name))
+        if want is not None and (isinstance(value, bool)
+                                 or not isinstance(value, want)):
+            raise ValueError(f"config key {name!r} must be of type "
+                             f"{types[name]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -93,13 +105,9 @@ class SweepConfig:
     out: str = ""
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            want = _CONFIG_TYPES.get(f.type)
-            value = getattr(self, f.name)
-            if want is not None and (isinstance(value, bool)
-                                     or not isinstance(value, want)):
-                raise ValueError(f"config key {f.name!r} must be of type "
-                                 f"{f.type}, got {value!r}")
+        fields = dataclasses.fields(self)
+        _check_types({f.name: getattr(self, f.name) for f in fields},
+                     {f.name: f.type for f in fields})
         for name in ("h", "lambda_mix", "init_scale"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -178,30 +186,10 @@ def _trial_base(config: SweepConfig, trial: int):
     return inst, direction, min(delta, 0.999)
 
 
-def _run_cell(config: SweepConfig, trial: int, spec: LossSpec,
-              inst: ProblemInstance, eps: float, delta: float, eta,
-              lam_min) -> dict:
-    """One (loss, eps) cell of a trial: solve, then constants and the bound."""
-    flags = []
-    res = gradient_descent(inst, spec, SolverConfig(
-        eta=eta, max_iters=config.max_iters, grad_tol=1e-9,
-        init="ground_truth_perturbed", init_scale=config.init_scale,
-        seed=_trial_seed(config.base_seed, trial, 2)))
-    if res.termination == "non_finite":
-        flags.append("non_finite")
-    e_real = error_frobenius(res.X_hat, inst.truth.matrix)
-
-    rho = estimate_rho(spec, inst.op, inst.measurements,
-                       config.const_samples,
-                       _trial_seed(config.base_seed, trial, 3),
-                       rank=config.r,
-                       scale=float(np.linalg.norm(inst.truth.matrix)))
-    _, lam2 = estimate_lambda12(spec, inst.op, inst.measurements,
-                                inst.truth.matrix,
-                                max(4, config.const_samples // 2),
-                                _trial_seed(config.base_seed, trial, 4),
-                                rank=min(2 * config.r, config.n))
-
+def _cell_bound(config: SweepConfig, spec: LossSpec, inst: ProblemInstance,
+                eps: float, delta: float, res, lam_min) -> tuple:
+    """Error bound and flags of one solved (loss, eps) cell of a trial."""
+    flags = ["non_finite"] if res.termination == "non_finite" else []
     bound = math.nan
     try:
         if spec.kind == MSE:
@@ -222,16 +210,18 @@ def _run_cell(config: SweepConfig, trial: int, spec: LossSpec,
                                                      n_meas=inst.op.m))
     except ValueError as exc:
         flags.append(f"bound_precondition: {exc}")
-
-    return {"real_error": e_real, "bound_error": bound,
-            "lipschitz_L": rho, "hessian_H": lam2, "flags": flags}
+    return bound, flags
 
 
 def _run_trial(config: SweepConfig, trial: int) -> dict:
     """Every (loss, eps) cell of one trial, keyed by (loss, eps).
 
-    Automatic step sizes and the kernel lambda_min are resolved once, on
-    the largest-epsilon instance, and reused across the grid.
+    Automatic step sizes (one call for all losses) and the kernel
+    lambda_min are resolved once, on the largest-epsilon instance, and
+    reused across the grid.  Per epsilon, each loss is solved; then one
+    estimate_rho and one estimate_lambda12 call cover all losses, on one
+    sample set (its seeds depend on the trial alone); then each loss's
+    bound is computed.
     """
     inst0, direction, delta = _trial_base(config, trial)
     b_clean = apply_op(inst0.op, inst0.truth.matrix)
@@ -248,16 +238,40 @@ def _run_trial(config: SweepConfig, trial: int) -> dict:
             LossSpec.kernel(config.h), inst_top.op, inst_top.measurements,
             inst_top.truth.matrix, iters=LAMBDA_MIN_ITERS,
             seed=_trial_seed(config.base_seed, trial, 5))
+    specs = tuple(_loss_spec(loss, config.h, config.lambda_mix)
+                  for loss in config.losses)
+    etas = (auto_step_size(inst_top, specs, config.eta,
+                           seed=_trial_seed(config.base_seed, trial, 6),
+                           rho_samples=16)
+            if isinstance(config.eta, str)
+            else (float(config.eta),) * len(specs))
+    solvers = [SolverConfig(eta=eta, max_iters=config.max_iters,
+                            grad_tol=1e-9, init="ground_truth_perturbed",
+                            init_scale=config.init_scale,
+                            seed=_trial_seed(config.base_seed, trial, 2))
+               for eta in etas]
     cells = {}
-    for loss in config.losses:
-        spec = _loss_spec(loss, config.h, config.lambda_mix)
-        eta = (auto_step_size(inst_top, spec, config.eta,
-                              seed=_trial_seed(config.base_seed, trial, 6),
-                              rho_samples=16)
-               if isinstance(config.eta, str) else float(config.eta))
-        for eps in config.eps_grid:
-            cells[(loss, eps)] = _run_cell(config, trial, spec, insts[eps],
-                                           eps, delta, eta, lam_min)
+    for eps, inst in insts.items():
+        solves = [gradient_descent(inst, spec, solver)
+                  for spec, solver in zip(specs, solvers)]
+        rhos = estimate_rho(specs, inst.op, inst.measurements,
+                            config.const_samples,
+                            _trial_seed(config.base_seed, trial, 3),
+                            rank=config.r,
+                            scale=float(np.linalg.norm(inst.truth.matrix)))
+        lams = estimate_lambda12(specs, inst.op, inst.measurements,
+                                 inst.truth.matrix,
+                                 max(4, config.const_samples // 2),
+                                 _trial_seed(config.base_seed, trial, 4),
+                                 rank=min(2 * config.r, config.n))
+        for loss, spec, res, rho, (_, lam2) in zip(config.losses, specs,
+                                                    solves, rhos, lams):
+            bound, flags = _cell_bound(config, spec, inst, eps, delta, res,
+                                       lam_min)
+            cells[(loss, eps)] = {
+                "real_error": error_frobenius(res.X_hat, inst.truth.matrix),
+                "bound_error": bound, "lipschitz_L": rho, "hessian_H": lam2,
+                "flags": flags}
     return cells
 
 
@@ -308,17 +322,26 @@ def sweep_csv(rows) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _number(text: str, flag: str, item: str) -> float:
+    """float(text), text taken from the comma-separated item of flag."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{flag}: no number in item {item!r}") from None
+
+
 def _parse_kv(text: str) -> dict:
     out = {}
     if text:
         for item in text.split(","):
             k, _, v = item.partition("=")
-            out[k.strip()] = float(v)
+            out[k.strip()] = _number(v, "--noise-params", item)
     return out
 
 
 def _cmd_gen(args) -> int:
-    spectrum = tuple(float(s) for s in args.spectrum.split(","))
+    spectrum = tuple(_number(s, "--spectrum", s)
+                     for s in args.spectrum.split(","))
     noise = NoiseModel(args.noise, _parse_kv(args.noise_params), args.centered)
     inst = make_instance(args.n, args.rank, args.m, spectrum, noise, args.seed)
     # The probe validates --rip-trials, so it runs before anything is written.
@@ -430,10 +453,16 @@ BOUNDS_FLOAT_INPUTS = tuple(f.name for f in dataclasses.fields(bd.BoundInputs)
 # Keys a bounds config may hold beside the BoundInputs fields.
 _HDI_KEYS = ("lambda_rstar", "norm_q", "gamma_min", "u_min_sq")
 _REPORT_KEYS = ("l_star", "lambda_mix", "rho", "rank")
+# The declared type of every key a bounds config may hold.
+_BOUNDS_TYPES = {
+    **{f.name: f.type for f in dataclasses.fields(bd.BoundInputs)},
+    **dict.fromkeys(_HDI_KEYS, "float"), "l_star": "float",
+    "lambda_mix": "float", "rho": "float", "rank": "int"}
 
 
 def _cmd_bounds(args) -> int:
     fields = _config_fields(args, bd.BoundInputs, _HDI_KEYS + _REPORT_KEYS)
+    _check_types(fields, _BOUNDS_TYPES)
     hdi_fields = {k: fields.pop(k) for k in _HDI_KEYS if k in fields}
     missing = [k for k in _HDI_KEYS if k not in hdi_fields]
     if hdi_fields and missing:

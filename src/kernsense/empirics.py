@@ -17,6 +17,15 @@
 # bits whatever else is in the stack (model._OP_BLOCK), so a sample's value,
 # and with it the monotonicity above, never depends on the sample count.
 #
+# The samples depend on the seed, not on the loss, so estimate_rho and
+# estimate_lambda12 also take a tuple of LossSpecs and give one result per
+# spec from one shared sample set: one draw and one stacked apply_op; each
+# residual vector's kernel gradient, Hessian build and Hessian-vector
+# product run once per bandwidth, and the combined loss's quantities are
+# mixed from them by losses._mix, the expression its one-loss functions
+# use.  Each spec keeps its own stacked adjoint_op, so every result equals
+# the spec's own call bit for bit.
+#
 # Every derivative comes from the residual-space core in losses: exact
 # gradients -A*(g) and Hessian forms <A(K), H A(L)> via hvp_residual.  The
 # noise enters only through the residuals, so the Hessian's noise
@@ -34,8 +43,8 @@ import numpy as np
 
 from .model import (SensingOperator, adjoint_op, apply_op, estimate_rip,
                     random_low_rank_symmetric)
-from .losses import (MSE, LossSpec, grad_residual, grad_X, hvp_residual,
-                     kernel_row_means, loss_value, residuals)
+from .losses import (KERNEL, MSE, LossSpec, _mix, grad_residual, grad_X,
+                     hvp_residual, kernel_row_means, loss_value, residuals)
 
 __all__ = [
     "ConstantEstimates",
@@ -52,23 +61,60 @@ __all__ = [
 _GUARD = 1e-12
 
 
-def _residual_grads(spec: LossSpec, r: np.ndarray) -> np.ndarray:
-    """Residual gradients g, row by row of a stack r, with the matrix-space
-    gradient -A*(g(b - A(M))); the MSE takes g = 2r (see the header)."""
+def _specs(spec) -> tuple:
+    """The estimators take one LossSpec or a tuple of them."""
+    return spec if isinstance(spec, tuple) else (spec,)
+
+
+def _bandwidths(specs) -> dict:
+    """One residual-space kernel loss per bandwidth among specs."""
+    return {s.h: LossSpec.kernel(s.h) for s in specs if s.kind != MSE}
+
+
+def _kernel_grads(specs, r) -> dict:
+    """Kernel residual gradients of the rows of a stack r, stacked, for
+    each bandwidth among specs."""
+    return {h: np.array([grad_residual(k, row) for row in r])
+            for h, k in _bandwidths(specs).items()}
+
+
+def _residual_grads(spec: LossSpec, r, kernel: dict) -> np.ndarray:
+    """Residual gradients g of spec, row by row of a stack r, with the
+    matrix-space gradient -A*(g(b - A(M))); the MSE takes g = 2r (see the
+    header).  kernel holds the rows' kernel gradients (_kernel_grads)."""
     if spec.kind == MSE:
         return 2.0 * r
-    return np.array([grad_residual(spec, row) for row in r])
+    if spec.kind == KERNEL:
+        return kernel[spec.h]
+    return _mix(spec, r, kernel[spec.h])
 
 
-def _grad_gaps(spec: LossSpec, op: SensingOperator, r1, r2) -> np.ndarray:
-    """grad at r1 minus grad at r2, per row of the residual stacks: by
-    linearity of A*, -A*(g(r1)) + A*(g(r2)) = A*(g(r2) - g(r1))."""
-    return adjoint_op(op, _residual_grads(spec, r2) - _residual_grads(spec, r1))
+def _grad_gaps(specs, op: SensingOperator, r1, r2):
+    """Per spec, in turn, grad at r1 minus grad at r2, per row of the
+    residual stacks: by linearity of A*, -A*(g(r1)) + A*(g(r2)) =
+    A*(g(r2) - g(r1)), one stacked adjoint per spec.  The kernel gradients
+    are evaluated once per row and bandwidth."""
+    k1, k2 = _kernel_grads(specs, r1), _kernel_grads(specs, r2)
+    for s in specs:
+        yield adjoint_op(op, _residual_grads(s, r2, k2)
+                         - _residual_grads(s, r1, k1))
 
 
-def _hess_gap(spec: LossSpec, r1, r2, ak, al) -> float:
-    """[Hess L(r1) - Hess L(r2)](K, L) = <A(K), (H(r1) - H(r2)) A(L)>."""
-    return float(ak @ (hvp_residual(spec, r1, al) - hvp_residual(spec, r2, al)))
+def _hess_gaps(specs, r1, r2, ak, al) -> list:
+    """Per spec, [Hess L(r1) - Hess L(r2)](K, L) =
+    <A(K), (H(r1) - H(r2)) A(L)>, with one kernel Hessian build and product
+    per residual vector and bandwidth."""
+    kernel = {h: [hvp_residual(k, r, al) for r in (r1, r2)]
+              for h, k in _bandwidths(specs).items()}
+
+    def products(s):
+        if s.kind == MSE:
+            return [hvp_residual(s, r, al) for r in (r1, r2)]
+        if s.kind == KERNEL:
+            return kernel[s.h]
+        return [_mix(s, al, k, hvp=True) for k in kernel[s.h]]
+
+    return [float(ak @ (h1 - h2)) for h1, h2 in map(products, specs)]
 
 
 def _sample_noise_dir(rng, m: int, mag_range) -> np.ndarray:
@@ -131,7 +177,7 @@ def estimate_zeta1(spec: LossSpec, op: SensingOperator, b, M_base,
         return 0.0
     mats, w, nw = stacks
     r = np.asarray(b) - apply_op(op, mats[:, 0])
-    gaps = _grad_gaps(spec, op, r + w, r)
+    gaps, = _grad_gaps((spec,), op, r + w, r)
     return max(abs(float(np.sum(gap * K))) / norm
                for gap, K, norm in zip(gaps, mats[:, 1], nw))
 
@@ -150,19 +196,21 @@ def estimate_zeta2(spec: LossSpec, op: SensingOperator, b, M_base,
     mats, w, nw = stacks
     a = apply_op(op, mats)                  # rows A(M), A(K), A(L)
     r = np.asarray(b) - a[:, 0]
-    return max(abs(_hess_gap(spec, ri + wi, ri, ak, al)) / norm
+    return max(abs(_hess_gaps((spec,), ri + wi, ri, ak, al)[0]) / norm
                for ri, wi, ak, al, norm in zip(r, w, a[:, 1], a[:, 2], nw))
 
 
-def estimate_rho(spec: LossSpec, op: SensingOperator, b, samples: int,
-                 seed: int, rank: int = 2, scale: float = 1.0,
-                 gap_range=(1e-3, 1.0)) -> float:
+def estimate_rho(spec, op: SensingOperator, b, samples: int, seed: int,
+                 rank: int = 2, scale: float = 1.0,
+                 gap_range=(1e-3, 1.0)):
     """Sampled sup of ||grad(M) - grad(M')||_F / ||M - M'||_F.
 
     Pairs are rank <= rank symmetric matrices at log-uniform magnitudes,
     separated by a log-uniform gap from gap_range.  Degenerate pairs
     (denominator below the guard) are skipped; if every pair is degenerate
-    a ValueError is raised.
+    a ValueError is raised.  spec is a LossSpec, or a tuple of them for one
+    estimate per spec, in order, from one sample set: each gives what it
+    gives alone.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -185,22 +233,25 @@ def estimate_rho(spec: LossSpec, op: SensingOperator, b, samples: int,
         raise ValueError("all sampled pairs were degenerate (M' == M)")
     mats, dn = zip(*pairs)
     r = np.asarray(b) - apply_op(op, np.array(mats))
-    gaps = _grad_gaps(spec, op, r[:, 0], r[:, 1])
-    return max(float(np.linalg.norm(gap)) / d for gap, d in zip(gaps, dn))
+    rho = tuple(max(float(np.linalg.norm(gap)) / d for gap, d in zip(gaps, dn))
+                for gaps in _grad_gaps(_specs(spec), op, r[:, 0], r[:, 1]))
+    return rho if isinstance(spec, tuple) else rho[0]
 
 
-def estimate_lambda12(spec: LossSpec, op: SensingOperator, b, M,
-                      samples: int, seed: int, mag_range=None,
-                      rank: int = 2) -> tuple:
+def estimate_lambda12(spec, op: SensingOperator, b, M, samples: int,
+                      seed: int, mag_range=None, rank: int = 2) -> tuple:
     """Sampled sups of the gradient and Hessian noise-Lipschitz ratios.
 
     Returns (lambda1, lambda2) over noise pairs (w1, w2); pairs closer than
-    the guard are excluded.
+    the guard are excluded.  spec is a LossSpec, or a tuple of them for one
+    (lambda1, lambda2) per spec, in order, from one sample set: each gives
+    what it gives alone.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if mag_range is None:
         mag_range = (1e-3, max(float(np.linalg.norm(b)), 1e-3))
+    specs = _specs(spec)
     M = np.asarray(M, dtype=float)
     r = np.asarray(b) - apply_op(op, M)
     k = max(1, min(op.n, rank))
@@ -214,15 +265,19 @@ def estimate_lambda12(spec: LossSpec, op: SensingOperator, b, M,
             KL = [random_low_rank_symmetric(op.n, k, rng) for _ in range(2)]
             kept.append(((r + w1, r + w2), KL, dw))
     if not kept:
-        return 0.0, 0.0
-    rw, dirs, dw = zip(*kept)
-    rw = np.array(rw)
-    gaps = _grad_gaps(spec, op, rw[:, 0], rw[:, 1])
-    a = apply_op(op, np.array(dirs))        # rows A(K), A(L)
-    lam1 = max(float(np.linalg.norm(gap)) / d for gap, d in zip(gaps, dw))
-    lam2 = max(abs(_hess_gap(spec, r1, r2, ak, al)) / d
-               for (r1, r2), (ak, al), d in zip(rw, a, dw))
-    return lam1, lam2
+        lam = ((0.0, 0.0),) * len(specs)
+    else:
+        rw, dirs, dw = zip(*kept)
+        rw = np.array(rw)
+        grads = _grad_gaps(specs, op, rw[:, 0], rw[:, 1])
+        a = apply_op(op, np.array(dirs))        # rows A(K), A(L)
+        hess = zip(*(_hess_gaps(specs, r1, r2, ak, al)     # per spec
+                     for (r1, r2), (ak, al) in zip(rw, a)))
+        lam = tuple(
+            (max(float(np.linalg.norm(g)) / d for g, d in zip(gaps, dw)),
+             max(abs(h) / d for h, d in zip(hs, dw)))
+            for gaps, hs in zip(grads, hess))
+    return lam if isinstance(spec, tuple) else lam[0]
 
 
 def residual_constants(r: np.ndarray, h: float) -> tuple:

@@ -338,6 +338,23 @@ def _kernel_hessian(r: np.ndarray, h: float, provider=_gauss_sums):
 # Residual-space values, gradients and Hessian-vector products
 # ---------------------------------------------------------------------------
 
+def _mix(spec: LossSpec, x: np.ndarray, kernel_part: np.ndarray,
+         hvp: bool = False) -> np.ndarray:
+    """The combined loss's residual gradient at x = r from the kernel
+    gradient there, or with hvp its Hessian-vector product along x = v from
+    H_kernel v: lam (2/m) r, or (2 lam/m) v, from the mean square
+    (1/m) sum(r_i^2), plus (1 - lam) times the kernel part.  Row by row of
+    a stack too, with the same bits.  The one place the combined
+    derivatives are mixed: the one-loss functions here and the estimators
+    that share kernel work between losses (empirics) call it.  The two
+    mean-square terms round in different orders; stored sweep results
+    depend on both, bit for bit.
+    """
+    lam, m = spec.lambda_mix, x.shape[-1]
+    mse = (2.0 * lam / m) * x if hvp else lam * ((2.0 / m) * x)
+    return mse + (1.0 - lam) * kernel_part
+
+
 def _value_and_grad(spec: LossSpec, r: np.ndarray, grad: bool):
     """Loss value and, if grad, residual gradient (else None)."""
     r = np.asarray(r, dtype=float)
@@ -348,7 +365,7 @@ def _value_and_grad(spec: LossSpec, r: np.ndarray, grad: bool):
         return kv, kg
     lam = spec.lambda_mix
     return (lam * (float(r @ r) / r.size) + (1.0 - lam) * kv,
-            lam * ((2.0 / r.size) * r) + (1.0 - lam) * kg if grad else None)
+            _mix(spec, r, kg) if grad else None)
 
 
 def loss_value(spec: LossSpec, r: np.ndarray) -> float:
@@ -389,8 +406,7 @@ def _residual_hessian(spec: LossSpec, r: np.ndarray):
     kernel = _kernel_hessian(r, spec.h)
     if spec.kind == KERNEL:
         return kernel
-    lam = spec.lambda_mix
-    return lambda v: (2.0 * lam / r.size) * v + (1.0 - lam) * kernel(v)
+    return lambda v: _mix(spec, v, kernel(v), hvp=True)
 
 
 def hvp_residual(spec: LossSpec, r: np.ndarray, v: np.ndarray) -> np.ndarray:

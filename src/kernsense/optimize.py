@@ -187,9 +187,8 @@ def _init_point(instance: ProblemInstance, config: SolverConfig) -> np.ndarray:
     return np.array(config.init_X0, dtype=float, copy=True)
 
 
-def auto_step_size(instance: ProblemInstance, spec: LossSpec,
-                   selector: str = "auto", seed: int = 0,
-                   rho_samples: int = 32) -> float:
+def auto_step_size(instance: ProblemInstance, spec, selector: str = "auto",
+                   seed: int = 0, rho_samples: int = 32):
     """Step size from the closed-form descent rule, on-instance constants.
 
     rho comes from empirics.estimate_rho; delta from a sampled isometry
@@ -197,23 +196,31 @@ def auto_step_size(instance: ProblemInstance, spec: LossSpec,
     from the measurements (the actual minimizer is not available before
     solving).  With selector "auto" the rho of the quadratic structure is
     used, so the kernel step is exactly h^2 times the MSE step; "auto_rho"
-    re-estimates rho for the loss itself.
+    re-estimates rho for the loss itself.  spec is a LossSpec, or a tuple
+    of them for one step per spec, in order: one delta probe, one spectral
+    init and one rho sample set serve them all, and each step is the one
+    its spec gets alone.
     """
     if selector not in ETA_SELECTORS:
         raise ValueError(f"unknown eta selector {selector!r}")
     op, b = instance.op, instance.measurements
     r = instance.truth.r
+    specs = spec if isinstance(spec, tuple) else (spec,)
     seeds = np.random.SeedSequence(seed).generate_state(2)
-    rho_spec = spec if selector == "auto_rho" else LossSpec.mse()
-    rho = estimate_rho(rho_spec, op, b, samples=rho_samples,
-                       seed=int(seeds[0]))
+    if selector == "auto_rho":
+        rhos = estimate_rho(specs, op, b, samples=rho_samples,
+                            seed=int(seeds[0]))
+    else:
+        rhos = estimate_rho((LossSpec.mse(),), op, b, samples=rho_samples,
+                            seed=int(seeds[0])) * len(specs)
     delta = estimate_rip(op, min(2 * r, op.n), 32, int(seeds[1])).delta_hat
     delta = min(delta, 0.999)
     X0 = spectral_init(op, b, r)
     norm_mw = float(np.linalg.norm(X0 @ X0.T))
-    inputs = ConvergenceBoundInputs(rho=rho, rank=r, delta=delta, zeta2=0.0,
-                                    eps=0.0, norm_Mw=norm_mw)
-    return step_size_bound(spec, inputs)
+    steps = tuple(step_size_bound(s, ConvergenceBoundInputs(
+        rho=rho, rank=r, delta=delta, zeta2=0.0, eps=0.0, norm_Mw=norm_mw))
+                  for s, rho in zip(specs, rhos))
+    return steps if isinstance(spec, tuple) else steps[0]
 
 
 def gradient_descent(instance: ProblemInstance, spec: LossSpec,

@@ -188,13 +188,35 @@ def test_solve_summary_reports_final_grad_norm(tmp):
 @pytest.mark.parametrize("noise,params", [("laplace", "sigma=0.1"),
                                           ("gaussian", "sigma=nan"),
                                           ("student_t", "dof=inf,scale=1"),
-                                          ("gaussian", "sigma=0.1,sgima=0.5")])
+                                          ("gaussian", "sigma=0.1,sgima=0.5"),
+                                          ("gaussian", "sigma"),
+                                          ("gaussian", "sigma=")])
 def test_bad_noise_params_exit_two(tmp, capsys, noise, params):
     code = main(["gen", "--n", "5", "--rank", "1", "--m", "20", "--spectrum",
                  "1", "--noise", noise, "--noise-params", params,
                  "--out", str(tmp / "x.json")])
     assert code == 2
     assert "noise" in capsys.readouterr().err
+    assert not (tmp / "x.json").exists()
+
+
+@pytest.mark.parametrize("flag,value,item", [
+    ("--noise-params", "sigma", "sigma"),
+    ("--noise-params", "sigma=0.1,sigma=", "sigma="),
+    ("--spectrum", "1,x", "x"),
+    ("--spectrum", "1,", ""),
+])
+def test_gen_malformed_item_names_flag_and_item(tmp, capsys, flag, value,
+                                                item):
+    # These ended in "could not convert string to float: ''", which named
+    # neither the flag nor the item.
+    argv = {"--spectrum": "1", "--noise-params": "sigma=0.1", flag: value}
+    code = main(["gen", "--n", "5", "--rank", "1", "--m", "20",
+                 *[a for kv in argv.items() for a in kv],
+                 "--out", str(tmp / "x.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert flag in err and repr(item) in err
     assert not (tmp / "x.json").exists()
 
 
@@ -395,6 +417,27 @@ def test_bounds_n_meas_below_one_exit_two(tmp, capsys, n_meas, from_config):
     assert not (tmp / "rep.json").exists()
 
 
+@pytest.mark.parametrize("doc,key", [
+    ({"delta": "0.2"}, "delta"),
+    ({"eps": True}, "eps"),
+    ({"n_meas": 3.0}, "n_meas"),
+    ({"l1": "2"}, "l1"),
+    ({"rank": 1.5}, "rank"),
+    ({"lambda_rstar": "1", "norm_q": 1.0, "gamma_min": 1.0,
+      "u_min_sq": 0.0}, "lambda_rstar"),
+])
+def test_bounds_config_wrong_type_exit_two(tmp, capsys, doc, key):
+    # {"delta": "0.2"} ended in a TypeError traceback with exit 1, and a
+    # bool or a float count was taken as a number.
+    cfg_file = tmp / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    code = main(["bounds", "--config", str(cfg_file),
+                 "--out", str(tmp / "rep.json")])
+    assert code == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (tmp / "rep.json").exists()
+
+
 def test_bounds_noise_aware_small_bandwidth_flagged(tmp):
     # exp(eps^2/h^2) overflowed here, ending the report in a traceback.
     code = main(["bounds", "--delta", "0.2", "--eps", "0.5", "--h", "0.015",
@@ -470,3 +513,17 @@ def test_sweep_threads_do_not_change_the_csv():
     two = sweep_csv(run_sweep(dataclasses.replace(cfg, workers=2)))
     assert two == one
     assert one.count("\n") == 1 + 3 * len(cfg.eps_grid)
+
+
+def test_sweep_losses_share_samples_exactly():
+    # All losses of a (trial, eps) share one estimator sample set; each
+    # loss's rows are still exactly those of a sweep of that loss alone.
+    cfg = SweepConfig(n=6, r=2, m=120, h=0.4, lambda_mix=0.3,
+                      eps_grid=(0.3, 0.9), trials=2, max_iters=30,
+                      noise_kind="student_t",
+                      noise_params={"dof": 2.0, "scale": 1.0}, base_seed=5)
+    rows = run_sweep(cfg)
+    for loss in cfg.losses:
+        alone = run_sweep(dataclasses.replace(cfg, losses=(loss,)))
+        assert sweep_csv([r for r in rows if r.loss == loss]) == \
+            sweep_csv(alone)

@@ -1,13 +1,18 @@
+import functools
 import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kernsense.empirics import (estimate_constants, estimate_lambda12,
+from kernsense.empirics import (_hess_gaps, _kernel_grads, _residual_grads,
+                                estimate_constants, estimate_lambda12,
                                 estimate_rho, estimate_zeta1, estimate_zeta2,
                                 finite_diff_check, residual_constants)
-from kernsense.losses import _FGT_MIN_M, MSE, LossSpec, grad_M, hvp_residual
+from kernsense.losses import (_FGT_MIN_M, MSE, LossSpec, grad_M,
+                              grad_residual, hvp_residual)
 from kernsense.model import (_OP_BLOCK, NoiseModel, adjoint_op, apply_op,
                              estimate_rip, make_instance,
                              orthonormal_basis_operator,
@@ -117,6 +122,70 @@ class TestLambda12:
                 for s in (14, 15)]
         assert all(v > 0 for v in vals)
         assert abs(vals[0] - vals[1]) / max(vals) < 0.2
+
+
+@functools.cache
+def _shared_instance(m):
+    return make_instance(6, 2, m, (2.0, 1.0), NoiseModel.student_t(2.0, 1.0),
+                         seed=19)
+
+
+class TestSharedSamples:
+    """Several losses on one sample set: each gets, bit for bit, what its
+    own one-spec call gives, on the dense (m = 60) and the fast kernel path,
+    with the combined loss at the kernel's bandwidth or at its own."""
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(m=st.sampled_from([60, 2 * _FGT_MIN_M]),
+           seed=st.integers(0, 2 ** 32 - 1), samples=st.integers(1, 20),
+           h=st.floats(0.2, 2.0), lam=st.floats(0.0, 1.0),
+           own_h=st.booleans())
+    def test_tuple_equals_one_spec_calls(self, m, seed, samples, h, lam,
+                                         own_h):
+        inst = _shared_instance(m)
+        op, b, M = inst.op, inst.measurements, inst.truth.matrix
+        specs = (LossSpec.mse(), LossSpec.kernel(h),
+                 LossSpec.combined(lam, 1.7 * h if own_h else h))
+        assert estimate_rho(specs, op, b, samples, seed, rank=2,
+                            scale=2.0) == tuple(
+            estimate_rho(s, op, b, samples, seed, rank=2, scale=2.0)
+            for s in specs)
+        assert estimate_lambda12(specs, op, b, M, samples, seed,
+                                 rank=4) == tuple(
+            estimate_lambda12(s, op, b, M, samples, seed, rank=4)
+            for s in specs)
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(m=st.sampled_from([60, 2 * _FGT_MIN_M]),
+           seed=st.integers(0, 2 ** 32 - 1), h=st.floats(0.2, 2.0),
+           lam=st.floats(0.0, 1.0), own_h=st.booleans())
+    def test_shared_kernel_work_equals_one_loss_functions(self, m, seed, h,
+                                                          lam, own_h):
+        # The quantities mixed from shared kernel results are bit for bit
+        # those of losses' one-loss functions (the MSE's gradient is 2r).
+        rng = np.random.default_rng(seed)
+        r = rng.standard_t(2.0, (3, m))
+        ak, al = rng.standard_normal((2, m))
+        specs = (LossSpec.mse(), LossSpec.kernel(h),
+                 LossSpec.combined(lam, 1.7 * h if own_h else h))
+        kernel = _kernel_grads(specs, r)
+        for spec in specs:
+            want = (2.0 * r if spec.kind == MSE
+                    else np.array([grad_residual(spec, row) for row in r]))
+            assert np.array_equal(_residual_grads(spec, r, kernel), want)
+        for spec, gap in zip(specs, _hess_gaps(specs, r[0], r[1], ak, al)):
+            assert gap == float(ak @ (hvp_residual(spec, r[0], al)
+                                      - hvp_residual(spec, r[1], al)))
+
+    def test_one_spec_tuple_and_repeats(self, inst):
+        op, b, M = inst.op, inst.measurements, inst.truth.matrix
+        spec = LossSpec.combined(0.3, 0.8)
+        assert estimate_rho((spec,), op, b, 5, 1) == (
+            estimate_rho(spec, op, b, 5, 1),)
+        assert estimate_lambda12((spec, spec), op, b, M, 5, 2) == (
+            estimate_lambda12(spec, op, b, M, 5, 2),) * 2
+        assert estimate_lambda12((spec,), op, b, M, 5, 3,
+                                 mag_range=(0.0, 0.0)) == ((0.0, 0.0),)
 
 
 class TestResidualConstants:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernsense.empirics import _hess_gap
+from kernsense.empirics import _hess_gaps
 from kernsense.losses import (_FGT_MIN_M, LossSpec, _dense_sums, _fgt_sums,
                               _kernel, _kernel_hessian, grad_M, grad_residual,
                               grad_X, hessian_quadratic_form,
@@ -408,8 +408,8 @@ class TestHessianNoiseGap:
         f2 = fd_hess_form(spec, inst.op, b2, M, K, L)
         tol = 1e-5 * max(abs(f1), abs(f2))
         r2 = b2 - apply_op(inst.op, M)
-        gap = _hess_gap(spec, r2 + w, r2, apply_op(inst.op, K),
-                        apply_op(inst.op, L))
+        gap = _hess_gaps((spec,), r2 + w, r2, apply_op(inst.op, K),
+                         apply_op(inst.op, L))[0]
         assert abs(gap - (f1 - f2)) <= tol
         form = float(np.sum(K * hessian_vector_product(spec, inst.op, b1, M, L)))
         assert abs(form - f1) <= tol

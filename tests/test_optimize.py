@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kernsense.losses import LossSpec
 from kernsense.model import NoiseModel, make_instance
@@ -102,6 +104,25 @@ class TestGradientDescent:
         e_mse = auto_step_size(inst, LossSpec.mse(), "auto", seed=3)
         e_ker = auto_step_size(inst, LossSpec.kernel(0.7), "auto", seed=3)
         assert e_ker == pytest.approx(0.49 * e_mse, rel=1e-14)
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(selector=st.sampled_from(["auto", "auto_rho"]),
+       seed=st.integers(0, 2 ** 32 - 1), rho_samples=st.integers(1, 12),
+       h=st.floats(0.2, 2.0), lam=st.floats(0.0, 1.0), own_h=st.booleans())
+def test_auto_step_size_tuple_equals_one_spec_calls(selector, seed,
+                                                    rho_samples, h, lam,
+                                                    own_h):
+    # One delta probe, spectral init and rho sample set serve every spec,
+    # and each spec still gets exactly its own step.
+    inst = make_instance(6, 2, 60, (2, 1), NoiseModel.student_t(2.0, 1.0),
+                         seed=9)
+    specs = (LossSpec.mse(), LossSpec.kernel(h),
+             LossSpec.combined(lam, 1.7 * h if own_h else h))
+    assert auto_step_size(inst, specs, selector, seed=seed,
+                          rho_samples=rho_samples) == tuple(
+        auto_step_size(inst, s, selector, seed=seed, rho_samples=rho_samples)
+        for s in specs)
 
 
 class TestProjectRankR:
