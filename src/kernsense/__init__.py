@@ -14,10 +14,10 @@ from .model import (GroundTruth, NoiseModel, ProblemInstance, RipEstimate,
 from .losses import (LossSpec, grad_M, grad_X, grad_residual,
                      hessian_quadratic_form, hessian_vector_product,
                      lambda_min_hessian, loss_value, residuals)
-from .optimize import (ConvergenceBoundInputs, SolveResult, SolverConfig,
-                       auto_step_size, dist_factor, error_frobenius,
-                       gradient_descent, project_rank_r, spectral_init,
-                       step_size_bound)
+from .optimize import (ConvergenceBoundInputs, SolveResult, SolveResults,
+                       SolverConfig, auto_step_size, dist_factor,
+                       error_frobenius, gradient_descent, project_rank_r,
+                       spectral_init, step_size_bound)
 from .empirics import (ConstantEstimates, estimate_constants,
                        estimate_lambda12, estimate_rho, estimate_zeta1,
                        estimate_zeta2, finite_diff_check, residual_constants)

@@ -121,10 +121,9 @@ class SweepConfig:
                              f"got {eg}")
         if any(b <= a for a, b in zip(eg, eg[1:])):
             raise ValueError("eps_grid must be strictly increasing")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for name in ("trials", "workers", "max_iters", "const_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.delta_regime not in ("low", "high"):
             raise ValueError("delta_regime must be 'low' or 'high'")
         check_eta(self.eta)
@@ -218,10 +217,12 @@ def _run_trial(config: SweepConfig, trial: int) -> dict:
 
     Automatic step sizes (one call for all losses) and the kernel
     lambda_min are resolved once, on the largest-epsilon instance, and
-    reused across the grid.  Per epsilon, each loss is solved; then one
-    estimate_rho and one estimate_lambda12 call cover all losses, on one
-    sample set (its seeds depend on the trial alone); then each loss's
-    bound is computed.
+    reused across the grid.  All cells are solved in one stacked
+    gradient_descent call, which applies the trial's operator once per
+    iteration to all running cells.  Then, per epsilon, one estimate_rho
+    and one estimate_lambda12 call cover all losses, on one sample set
+    (its seeds depend on the trial alone), and each loss's bound is
+    computed.
     """
     inst0, direction, delta = _trial_base(config, trial)
     b_clean = apply_op(inst0.op, inst0.truth.matrix)
@@ -250,10 +251,13 @@ def _run_trial(config: SweepConfig, trial: int) -> dict:
                             init_scale=config.init_scale,
                             seed=_trial_seed(config.base_seed, trial, 2))
                for eta in etas]
+    keys = [(eps, j) for eps in config.eps_grid for j in range(len(specs))]
+    solves = dict(zip(keys, gradient_descent(
+        tuple(insts[eps] for eps, _ in keys),
+        tuple(specs[j] for _, j in keys),
+        tuple(solvers[j] for _, j in keys))))
     cells = {}
     for eps, inst in insts.items():
-        solves = [gradient_descent(inst, spec, solver)
-                  for spec, solver in zip(specs, solvers)]
         rhos = estimate_rho(specs, inst.op, inst.measurements,
                             config.const_samples,
                             _trial_seed(config.base_seed, trial, 3),
@@ -264,8 +268,9 @@ def _run_trial(config: SweepConfig, trial: int) -> dict:
                                  max(4, config.const_samples // 2),
                                  _trial_seed(config.base_seed, trial, 4),
                                  rank=min(2 * config.r, config.n))
-        for loss, spec, res, rho, (_, lam2) in zip(config.losses, specs,
-                                                    solves, rhos, lams):
+        for j, (loss, spec, rho, (_, lam2)) in enumerate(
+                zip(config.losses, specs, rhos, lams)):
+            res = solves[(eps, j)]
             bound, flags = _cell_bound(config, spec, inst, eps, delta, res,
                                        lam_min)
             cells[(loss, eps)] = {

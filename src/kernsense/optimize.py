@@ -4,6 +4,15 @@
 # The solver iterates X <- X - eta * grad_X(loss, X).  No line search,
 # momentum, or restarts: the convergence theory covers plain fixed-step
 # descent only.
+#
+# Stacked solves: gradient_descent also takes tuples of instances that share
+# one operator, with a spec and a config per instance.  The problems descend
+# in lockstep: each evaluation makes one stacked apply_op and one stacked
+# adjoint_op for the problems still running, and a problem that ends leaves
+# the stack.  Stacked operator products are zero-padded blocks of
+# model._OP_BLOCK rows, so a problem's trajectory is the same bits in any
+# tuple, at any position; a bare call keeps one matrix-vector product per
+# operator call, so its bits differ from its tuple-of-one bits by rounding.
 
 from __future__ import annotations
 
@@ -24,6 +33,7 @@ __all__ = [
     "check_eta",
     "SolverConfig",
     "SolveResult",
+    "SolveResults",
     "ConvergenceBoundInputs",
     "step_size_bound",
     "spectral_init",
@@ -136,6 +146,10 @@ class SolverConfig:
 
     def __post_init__(self):
         check_eta(self.eta)
+        if isinstance(self.max_iters, bool) or not isinstance(
+                self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got "
+                             f"{self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not 0 <= self.grad_tol < math.inf:
@@ -158,6 +172,22 @@ class SolveResult:
     termination: str           # "grad_tol" | "max_iters" | "non_finite"
     eta: float
     grad_norm: float           # ||grad_X|| at X_hat
+
+
+class SolveResults(tuple):
+    """The SolveResult of each problem of a stacked gradient_descent call,
+    in order, with the outcome of the call as a whole: iterations_run sums
+    the problems' steps, and termination is their common reason, or "mixed".
+    """
+
+    @property
+    def iterations_run(self) -> int:
+        return sum(res.iterations_run for res in self)
+
+    @property
+    def termination(self) -> str:
+        reasons = {res.termination for res in self}
+        return reasons.pop() if len(reasons) == 1 else "mixed"
 
 
 def spectral_init(op: SensingOperator, b: np.ndarray, r: int) -> np.ndarray:
@@ -223,58 +253,104 @@ def auto_step_size(instance: ProblemInstance, spec, selector: str = "auto",
     return steps if isinstance(spec, tuple) else steps[0]
 
 
-def gradient_descent(instance: ProblemInstance, spec: LossSpec,
-                     config: SolverConfig) -> SolveResult:
+class _Descent:
+    """One problem's state in gradient_descent's loop."""
+
+    def __init__(self, instance: ProblemInstance, spec: LossSpec,
+                 config: SolverConfig):
+        if isinstance(config.eta, str):
+            eta = auto_step_size(instance, spec, config.eta, seed=config.seed)
+        else:
+            eta = float(config.eta)
+        if not math.isfinite(eta) or eta <= 0:
+            raise ValueError(f"step size resolved to {eta}")
+        self.spec, self.config, self.eta = spec, config, eta
+        self.b = instance.measurements
+        self.M_star = instance.truth.matrix
+        self.X = _init_point(instance, config)
+        self.losses = []
+        self.errors = []
+        self.steps = 0
+        self.termination = None
+
+    def ended(self) -> bool:
+        """Whether the solve stops at the current iterate (sets termination)."""
+        if not (math.isfinite(self.val) and np.all(np.isfinite(self.gX))):
+            self.termination = "non_finite"
+        elif self.gnorm < self.config.grad_tol:
+            self.termination = "grad_tol"
+        elif self.steps == self.config.max_iters:
+            self.termination = "max_iters"
+        return self.termination is not None
+
+    def result(self) -> SolveResult:
+        return SolveResult(X_hat=self.X, loss_trace=np.array(self.losses),
+                           error_trace=np.array(self.errors),
+                           iterations_run=self.steps,
+                           termination=self.termination, eta=self.eta,
+                           grad_norm=self.gnorm)
+
+
+def gradient_descent(instance, spec, config):
     """Fixed-step gradient descent on the factored loss.
 
     Terminates on gradient norm below grad_tol, on the iteration budget, or
     on a non-finite value (partial traces are kept in that case).
     Deterministic given the config seed.
+
+    instance, spec and config are one problem, giving a SolveResult, or
+    tuples of one length, giving SolveResults, one per problem in order.
+    The instances of a tuple must share one operator: every iteration
+    applies it and its adjoint once to the stack of running problems.  A
+    problem's result is the same bits in every tuple that holds it, and
+    agrees with its bare call to rounding.
     """
-    op, b = instance.op, instance.measurements
-    M_star = instance.truth.matrix
+    stacked = isinstance(instance, tuple)
+    if any(isinstance(a, tuple) != stacked for a in (spec, config)) or (
+            stacked and not len(instance) == len(spec) == len(config)):
+        raise ValueError("instance, spec and config must all be tuples of "
+                         "one length, or none of them")
+    if not stacked:
+        instance, spec, config = (instance,), (spec,), (config,)
+    if not instance:
+        raise ValueError("no problems to solve")
+    op = instance[0].op
+    if any(inst.op is not op and not np.array_equal(inst.op.P, op.P)
+           for inst in instance[1:]):
+        raise ValueError("stacked problems must share one operator")
+    runs = [_Descent(*p) for p in zip(instance, spec, config)]
 
-    if isinstance(config.eta, str):
-        eta = auto_step_size(instance, spec, config.eta, seed=config.seed)
-    else:
-        eta = float(config.eta)
-    if not math.isfinite(eta) or eta <= 0:
-        raise ValueError(f"step size resolved to {eta}")
+    def evaluate(active):
+        XXt = [run.X @ run.X.T for run in active]
+        # A bare call applies the operator to one matrix and one vector,
+        # which BLAS computes as matrix-vector products.
+        R = np.stack([run.b for run in active]) - apply_op(
+            op, np.stack(XXt) if stacked else XXt[0])
+        gs = []
+        for run, M, r in zip(active, XXt, R):
+            run.val, g = loss_and_grad_residual(run.spec, r)
+            run.losses.append(run.val)
+            run.errors.append(float(np.linalg.norm(M - run.M_star)))
+            gs.append(g)
+        adj = adjoint_op(op, np.stack(gs) if stacked else gs[0])
+        for run, a in zip(active, adj.reshape(-1, op.n, op.n)):
+            run.gX = 2.0 * (-a) @ run.X
+            run.gnorm = float(np.linalg.norm(run.gX))
 
-    X = _init_point(instance, config)
-    losses = []
-    errors = []
-    steps = 0
+    # A diverging iterate overflows; the loop reports that as "non_finite",
+    # so the overflow warnings carry nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        active = runs
+        evaluate(active)
+        while active := [run for run in active if not run.ended()]:
+            for run in active:
+                run.X = run.X - run.eta * run.gX
+                run.steps += 1
+            evaluate(active)
 
-    def record(X):
-        # A diverging iterate overflows here; the loop below reports that
-        # as "non_finite", so the overflow warnings carry nothing more.
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = b - apply_op(op, X @ X.T)
-            val, g = loss_and_grad_residual(spec, r)
-            losses.append(val)
-            errors.append(float(np.linalg.norm(X @ X.T - M_star)))
-            gX = 2.0 * (-adjoint_op(op, g)) @ X
-            return val, gX, float(np.linalg.norm(gX))
-
-    val, gX, gnorm = record(X)
-    while True:
-        if not (math.isfinite(val) and np.all(np.isfinite(gX))):
-            termination = "non_finite"
-            break
-        if gnorm < config.grad_tol:
-            termination = "grad_tol"
-            break
-        if steps == config.max_iters:
-            termination = "max_iters"
-            break
-        X = X - eta * gX
-        steps += 1
-        val, gX, gnorm = record(X)
-
-    return SolveResult(X_hat=X, loss_trace=np.array(losses),
-                       error_trace=np.array(errors), iterations_run=steps,
-                       termination=termination, eta=eta, grad_norm=gnorm)
+    if stacked:
+        return SolveResults(run.result() for run in runs)
+    return runs[0].result()
 
 
 # ---------------------------------------------------------------------------

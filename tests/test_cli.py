@@ -385,10 +385,13 @@ def test_sweep_config_wrong_type_exit_two(tmp, capsys, doc, key):
     ({"losses": []}, "losses"),
     ({"losses": ["mse", "kernel", "mse"]}, "losses"),
     ({"noise_params": {"sigma0": 0.05, "sgima0": 0.5}}, "sgima0"),
+    ({"max_iters": 0}, "max_iters"),
+    ({"const_samples": 0}, "const_samples"),
 ])
 def test_sweep_config_bad_axis_or_noise_exit_two(tmp, capsys, doc, key):
     # An empty eps_grid crashed, an empty losses wrote a header-only CSV,
-    # and a repeated loss or a misspelt noise parameter ran silently.
+    # and a repeated loss or a misspelt noise parameter ran silently; a
+    # zero const_samples failed only after every solve, without its key.
     cfg_file = tmp / "cfg.json"
     cfg_file.write_text(json.dumps({"n": 6, "r": 2, "trials": 1,
                                     "max_iters": 5, **doc}))
@@ -513,6 +516,29 @@ def test_sweep_threads_do_not_change_the_csv():
     two = sweep_csv(run_sweep(dataclasses.replace(cfg, workers=2)))
     assert two == one
     assert one.count("\n") == 1 + 3 * len(cfg.eps_grid)
+
+
+def test_sweep_stacked_solves_match_bare_solves(monkeypatch):
+    # A trial solves all its cells in one stacked call; a sweep that solves
+    # each cell alone differs only in the operator products' rounding.
+    import kernsense.cli as cli
+    cfg = SweepConfig(n=6, r=2, m=301, h=0.4, lambda_mix=0.3,
+                      eps_grid=(0.3, 0.6, 0.9), trials=2, max_iters=40,
+                      noise_kind="student_t",
+                      noise_params={"dof": 2.0, "scale": 1.0}, base_seed=3)
+    rows = run_sweep(cfg)
+    stacked = cli.gradient_descent
+
+    def one_at_a_time(insts, specs, configs):
+        return tuple(stacked(*p) for p in zip(insts, specs, configs))
+
+    monkeypatch.setattr(cli, "gradient_descent", one_at_a_time)
+    for row, ref in zip(rows, run_sweep(cfg), strict=True):
+        assert (row.loss, row.epsilon, row.lipschitz_L, row.hessian_H,
+                row.flags) == (ref.loss, ref.epsilon, ref.lipschitz_L,
+                               ref.hessian_H, ref.flags)
+        assert row.real_error == pytest.approx(ref.real_error, rel=1e-12)
+        assert row.bound_error == pytest.approx(ref.bound_error, rel=1e-12)
 
 
 def test_sweep_losses_share_samples_exactly():

@@ -1,16 +1,18 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernsense.losses import LossSpec
-from kernsense.model import NoiseModel, make_instance
+from kernsense.losses import LossSpec, loss_and_grad_residual
+from kernsense.model import NoiseModel, adjoint_op, apply_op, make_instance
 from kernsense.optimize import (ConvergenceBoundInputs, SolverConfig,
-                                auto_step_size, dist_factor, error_frobenius,
-                                gradient_descent, project_rank_r,
-                                step_size_bound, trace_csv)
+                                SolveResults, auto_step_size, dist_factor,
+                                error_frobenius, gradient_descent,
+                                project_rank_r, step_size_bound, trace_csv)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -99,6 +101,14 @@ class TestGradientDescent:
         assert res.iterations_run < 200
         assert len(res.loss_trace) == res.iterations_run + 1
 
+    @pytest.mark.parametrize("max_iters", [3.5, 3.0, True, "3"])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        # 3.5 never equals the step count, so with grad_tol=0 the solve
+        # never returned.
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(eta=0.01, max_iters=max_iters)
+        assert SolverConfig(eta=0.01, max_iters=np.int64(3)).max_iters == 3
+
     def test_auto_kernel_equals_h2_times_auto_mse(self):
         inst = make_instance(8, 2, 120, (2, 1), NoiseModel.gaussian(0.1), seed=7)
         e_mse = auto_step_size(inst, LossSpec.mse(), "auto", seed=3)
@@ -123,6 +133,142 @@ def test_auto_step_size_tuple_equals_one_spec_calls(selector, seed,
                           rho_samples=rho_samples) == tuple(
         auto_step_size(inst, s, selector, seed=seed, rho_samples=rho_samples)
         for s in specs)
+
+
+# Stacked solves.  Each drawn problem is (loss index, noise seed, noise
+# scale, eta, grad_tol, max_iters) on one shared operator, so problems
+# leave the stack at different iterations; the bandwidth sits at the
+# residual scale so the kernel terms are not flat.
+_SPECS = (LossSpec.mse(), LossSpec.kernel(0.3), LossSpec.combined(0.4, 0.3))
+_problem = st.tuples(st.integers(0, 2), st.integers(0, 2 ** 16),
+                     st.floats(0.05, 1.0), st.floats(0.005, 0.03),
+                     st.sampled_from([0.0, 0.3]), st.integers(1, 25))
+
+
+def _stack(n, r, m, draws):
+    base = make_instance(n, r, m, (2.0, 1.0)[:r], NoiseModel.gaussian(0.0),
+                         seed=m)
+    insts, specs, configs = [], [], []
+    for kind, seed, scale, eta, tol, max_iters in draws:
+        w = np.random.default_rng(seed).standard_normal(m)
+        w *= scale / np.linalg.norm(w)
+        insts.append(replace(base, noise=w,
+                             measurements=base.measurements + w))
+        specs.append(_SPECS[kind])
+        configs.append(SolverConfig(eta=eta, max_iters=max_iters,
+                                    grad_tol=tol,
+                                    init="ground_truth_perturbed",
+                                    init_scale=0.3, seed=seed))
+    return tuple(insts), tuple(specs), tuple(configs)
+
+
+def _solve(problems, order):
+    res = gradient_descent(*(tuple(p[i] for i in order) for p in problems))
+    assert isinstance(res, SolveResults) and len(res) == len(order)
+    return dict(zip(order, res))
+
+
+def _same_bits(a, b):
+    for name in ("X_hat", "loss_trace", "error_trace"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.grad_norm, a.iterations_run, a.termination, a.eta) == \
+        (b.grad_norm, b.iterations_run, b.termination, b.eta)
+
+
+_shapes = dict(n=st.integers(3, 6), r=st.integers(1, 2),
+               m=st.integers(10, 90) | st.sampled_from([301, 320]))
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(draws=st.lists(_problem, min_size=2, max_size=5), **_shapes)
+def test_stacked_solve_bits_do_not_depend_on_the_tuple(n, r, m, draws):
+    problems = _stack(n, r, m, draws)
+    k = len(draws)
+    together = _solve(problems, list(range(k)))
+    reverse = _solve(problems, list(range(k))[::-1])
+    for i in range(k):
+        _same_bits(together[i], reverse[i])
+        _same_bits(together[i], _solve(problems, [i])[i])
+    res = gradient_descent(*problems)
+    assert res.iterations_run == sum(x.iterations_run for x in res)
+    reasons = {x.termination for x in res}
+    assert res.termination == (reasons.pop() if len(reasons) == 1
+                               else "mixed")
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(draws=st.lists(_problem, min_size=1, max_size=4), **_shapes)
+def test_stacked_solve_matches_bare_calls(n, r, m, draws):
+    # Only the operator products' rounding differs: stacked rows go through
+    # matrix-matrix blocks, a bare call through matrix-vector products.
+    problems = _stack(n, r, m, draws)
+    for p, res in zip(zip(*problems), gradient_descent(*problems)):
+        bare = gradient_descent(*p)
+        assert (res.iterations_run, res.termination, res.eta) == \
+            (bare.iterations_run, bare.termination, bare.eta)
+        for name in ("X_hat", "loss_trace", "error_trace"):
+            a, b = getattr(res, name), getattr(bare, name)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+        assert res.grad_norm == pytest.approx(bare.grad_norm, rel=1e-12)
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(draws=st.lists(_problem, min_size=1, max_size=3),
+       diverging=st.sampled_from([0, 2]), at=st.integers(0, 3), **_shapes)
+def test_stacked_solve_diverging_problem_leaves_the_rest(n, r, m, draws,
+                                                         diverging, at):
+    at = min(at, len(draws))
+    bad = (diverging, 1, 0.5, 1e6, 0.0, 25)
+    problems = _stack(n, r, m, draws[:at] + [bad] + draws[at:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = gradient_descent(*problems)
+    assert res[at].termination == "non_finite"
+    assert res[at].iterations_run < 25
+    assert len(res[at].loss_trace) == res[at].iterations_run + 1
+    rest = [i for i in range(len(res)) if i != at]
+    alone = _solve(problems, rest)
+    for i in rest:
+        _same_bits(res[i], alone[i])
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(draw=_problem, **_shapes)
+def test_bare_solve_is_the_plain_loop(n, r, m, draw):
+    # A bare call keeps one matrix-vector product per operator call, so it
+    # is the textbook loop bit for bit.
+    (inst,), (spec,), (config,) = _stack(n, r, m, [draw])
+    res = gradient_descent(inst, spec, config)
+    op, b = inst.op, inst.measurements
+    X = gradient_descent(inst, spec, replace(config, grad_tol=1e300)).X_hat
+    losses = []
+    for step in range(res.iterations_run + 1):
+        val, g = loss_and_grad_residual(spec, b - apply_op(op, X @ X.T))
+        losses.append(val)
+        gX = 2.0 * (-adjoint_op(op, g)) @ X
+        if step < res.iterations_run:
+            X = X - config.eta * gX
+    assert X.tobytes() == res.X_hat.tobytes()
+    assert np.array(losses).tobytes() == res.loss_trace.tobytes()
+    assert float(np.linalg.norm(gX)) == res.grad_norm
+
+
+def test_stacked_solve_rejects_mismatched_problems():
+    inst = make_instance(5, 2, 30, (2, 1), NoiseModel.gaussian(0.1), seed=1)
+    other = make_instance(5, 2, 30, (2, 1), NoiseModel.gaussian(0.1), seed=2)
+    spec, config = LossSpec.mse(), SolverConfig(eta=0.01, max_iters=3)
+    with pytest.raises(ValueError, match="operator"):
+        gradient_descent((inst, other), (spec, spec), (config, config))
+    # An equal operator held in another object is the same operator.
+    copy = replace(inst, op=replace(inst.op, P=inst.op.P.copy()))
+    gradient_descent((inst, copy), (spec, spec), (config, config))
+    for args in [((inst, inst), (spec,), (config, config)),
+                 ((inst,), (spec, spec), (config,)),
+                 ((inst,), spec, (config,)),
+                 (inst, (spec,), config),
+                 ((), (), ())]:
+        with pytest.raises(ValueError):
+            gradient_descent(*args)
 
 
 class TestProjectRankR:
