@@ -108,10 +108,11 @@ class SweepConfig:
         fields = dataclasses.fields(self)
         _check_types({f.name: getattr(self, f.name) for f in fields},
                      {f.name: f.type for f in fields})
-        for name in ("h", "lambda_mix", "init_scale"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        if not math.isfinite(self.init_scale):
+            raise ValueError(f"init_scale must be finite, got "
+                             f"{self.init_scale}")
+        # h and lambda_mix are checked whatever losses are swept.
+        LossSpec.combined(self.lambda_mix, self.h)
         eg = self.eps_grid
         if not eg:
             raise ValueError("eps_grid must not be empty")

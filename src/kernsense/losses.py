@@ -33,12 +33,13 @@
 # and kernel_row_means sort r once, evaluate everything in that order and
 # put the results back in input order once (each HVP permutes v in and
 # H v out), so the results depend on the residuals' values, not on their
-# order.  Measured on that Xeon (student-t residuals, h = 0.5, best of
-# 7 x 200 calls), the fast path takes ~0.28 ms per value and gradient at
-# m = 1200 and ~0.7 ms at m = 4000 (value only ~0.15 / 0.35 ms, one HVP
-# ~0.37 / 1.0 ms); the dense one takes ~200 ms and 256 MB at m = 4000.  Property tests hold the fast
-# path to the dense one: relative error <= 1e-12 on the value, <= 1e-10 on
-# the gradient and HVP norms, zero-sum gradient and HVP.  The exponentially
+# order.  Measured on that Xeon (student-t residuals of norm 0.9, h = 0.5,
+# best of 15 x 50 calls), the fast path takes ~0.26 ms per value and
+# gradient at m = 1200 and ~0.6 ms at m = 4000 (value only ~0.19 / 0.48 ms,
+# one HVP ~0.17 / 0.40 ms); the dense one takes ~200 ms and 256 MB at
+# m = 4000.  Property tests hold the fast path to the dense one: relative
+# error <= 1e-12 on the value, <= 1e-10 on the gradient and HVP norms,
+# zero-sum gradient and HVP.  The exponentially
 # small gradients of widely spread, nearly flat residuals (criterion 3
 # checks norms down to 1e-111) are a dense-path property, since every sum
 # there is over pairwise differences.  On the fast path the sums carry
@@ -59,7 +60,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import SensingOperator, apply_op, adjoint_op
+from .model import SensingOperator, _check_count, adjoint_op, apply_op
 
 __all__ = [
     "MSE", "KERNEL", "COMBINED", "LOSS_KINDS",
@@ -213,7 +214,12 @@ def _fgt_sums(r: np.ndarray, h: float):
     with the interface of _dense_sums (its reference).
 
     r must be sorted ascending (NaN last, as np.sort leaves it); q and the
-    sums are in that order.  The residuals are cut into clusters wherever
+    sums are in that order.  Ties are collapsed first: the transform runs
+    on the distinct values, each carrying the summed weights of its ties
+    (unit weights become multiplicities), and every tie gets its value's
+    sums.  BLAS may round two equal columns of a product differently at
+    different positions, so this is what gives tied residuals equal sums
+    whatever their order.  The residuals are cut into clusters wherever
     a gap exceeds the reach, and each cluster into boxes of width h/2, the
     first centred on the cluster's minimum, so a far outlier neither blurs
     the offsets nor overflows the box numbers; only occupied boxes are
@@ -225,17 +231,35 @@ def _fgt_sums(r: np.ndarray, h: float):
     cluster of equal residuals sits at offset 0, where the expansions reduce
     to their constant terms, so its odd sums are exactly 0.  The (p, m)
     table of powers s^a is built row by row, each row the previous one
-    times s: np.vander's products, in its order.  Non-finite residuals give
-    NaN sums.  Measured on a 2-vCPU Xeon at m = 1200 (m = 4000): set-up
-    ~62 us (94 us), one sums call with q = None and ks = (0, 1) ~89 us
-    (231 us), with weights q and ks = (1,) ~73 us (195 us).
+    times s: np.vander's products, in its order.  A box of at least 2p
+    points is dense: its moments are one matrix-vector product with the
+    weights (with ones for unit weights), and its sums one
+    (len(ks), p) x (p, points) matrix product.  The sparse boxes go
+    together through np.add.reduceat and one einsum over their points, as
+    a product per box costs more than it saves on small boxes.
+    Non-finite residuals give NaN sums.  Measured on a 2-vCPU Xeon (best
+    of 15 x 50 calls, h = 0.5) on student-t residuals of norm 0.9, which
+    fill 4 boxes, at m = 1200 (m = 4000): set-up ~106 us (195 us), one
+    sums call with q = None and ks = (0, 1) ~50 us (76 us), with weights q
+    and ks = (1,) ~38 us (64 us).  Unscaled, in 75 boxes (109), 10 (19) of
+    them dense: set-up ~145 us (268 us), the two calls ~293 us (461 us)
+    and ~224 us (375 us).
     """
     m = r.size
     if not (math.isfinite(r[0]) and math.isfinite(r[-1])):
         return lambda q, ks: np.full((len(ks), m), math.nan)
+    gap = np.diff(r)
+    if not gap.all():
+        distinct = np.append(True, gap != 0)
+        first = np.flatnonzero(distinct)
+        mult = np.diff(np.append(first, m)).astype(float)
+        inner = _fgt_sums(r[first], h)
+        group = np.cumsum(distinct) - 1
+        return lambda q, ks: inner(
+            mult if q is None else np.add.reduceat(q, first), ks)[:, group]
     p, reach = _FGT_TERMS, _FGT_REACH_BOXES
     trt = _fgt_translations().T
-    new = np.concatenate(([True], np.diff(r) > _FGT_REACH * h))
+    new = np.concatenate(([True], gap > _FGT_REACH * h))
     cluster = np.cumsum(new) - 1
     x = (r - r[new][cluster]) / (0.5 * h)
     box = np.floor(x + 0.5)
@@ -257,18 +281,38 @@ def _fgt_sums(r: np.ndarray, h: float):
     powers[0] = 1.0
     for a in range(1, p):
         np.multiply(powers[a - 1], s, out=powers[a])
+    sparse = counts < 2 * p
+    blocks = [(j, slice(starts[j], starts[j] + counts[j]))
+              for j in np.flatnonzero(~sparse).tolist()]
+    few = np.flatnonzero(sparse)
+    few_pts = (np.flatnonzero(np.repeat(sparse, counts)) if blocks
+               else slice(None))
+    few_powers = powers[:, few_pts]
+    few_box = np.repeat(few, counts[few])
+    few_starts = np.cumsum(counts[few]) - counts[few]
     moments = np.zeros((occupied.size + 1, p))
+    ones = np.ones(m)
 
     def sums(q, ks):
-        weighted = powers if q is None else powers * q
-        moments[:-1] = np.add.reduceat(weighted, starts, axis=1).T
+        w = ones if q is None else q
+        if few.size:
+            weighted = few_powers if q is None else few_powers * q[few_pts]
+            moments[few] = np.add.reduceat(weighted, few_starts, axis=1).T
+        for j, c in blocks:
+            moments[j] = powers[:, c] @ w[c]
         gathered = moments[near].reshape(occupied.size, -1).T
         local = np.empty((len(ks), p, occupied.size))
         for i, k in enumerate(ks):
             np.matmul(trt[k * p:(k + 1) * p], gathered, out=local[i])
         # d^k = (h y)^k, and the translations hold the coefficients in y.
         local *= np.power(h, ks)[:, None, None]
-        return np.einsum("kbj,bj->kj", np.repeat(local, counts, axis=2), powers)
+        out = np.empty((len(ks), m))
+        if few.size:
+            out[:, few_pts] = np.einsum("kbj,bj->kj", local[:, :, few_box],
+                                        few_powers)
+        for j, c in blocks:
+            np.matmul(local[:, :, j], powers[:, c], out=out[:, c])
+        return out
 
     return sums
 
@@ -496,8 +540,7 @@ def lambda_min_hessian(spec: LossSpec, op: SensingOperator, b: np.ndarray,
     is never below the true minimum (Cauchy interlacing), only above it.
     A non-finite product gives value NaN with converged=False.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+    _check_count("iters", iters)
     rng = np.random.default_rng(seed)
     n = op.n
     v = rng.standard_normal((n, n))

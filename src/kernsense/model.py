@@ -363,6 +363,14 @@ def random_low_rank_symmetric(n: int, rank: int, rng) -> np.ndarray:
     return x / nrm
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless value is an integer >= 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def estimate_rip(op: SensingOperator, rank: int, trials: int, seed: int) -> RipEstimate:
     """
     Monte-Carlo lower bound on the rank-`rank` isometry defect.
@@ -372,8 +380,7 @@ def estimate_rip(op: SensingOperator, rank: int, trials: int, seed: int) -> RipE
     child seed (seed, t) so nested trial counts give nested sample sets;
     all trials go through one stacked apply_op.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_count("trials", trials)
     if rank > op.n:
         raise ValueError("rank must be <= n")
     xs = np.stack([random_low_rank_symmetric(op.n, rank,

@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .empirics import estimate_rho
-from .model import (ProblemInstance, SensingOperator, adjoint_op, apply_op,
-                    estimate_rip)
+from .model import (ProblemInstance, SensingOperator, _check_count,
+                    adjoint_op, apply_op, estimate_rip)
 from .losses import KERNEL, MSE, LossSpec, loss_and_grad_residual
 
 __all__ = [
@@ -146,12 +146,7 @@ class SolverConfig:
 
     def __post_init__(self):
         check_eta(self.eta)
-        if isinstance(self.max_iters, bool) or not isinstance(
-                self.max_iters, numbers.Integral):
-            raise ValueError(f"max_iters must be an integer, got "
-                             f"{self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        _check_count("max_iters", self.max_iters)
         if not 0 <= self.grad_tol < math.inf:
             raise ValueError(f"grad_tol must be finite and >= 0, got "
                              f"{self.grad_tol}")

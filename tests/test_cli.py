@@ -122,6 +122,24 @@ def test_sweep_config_rejects_non_finite(key, value):
         SweepConfig(losses=("mse",), **{key: value})
 
 
+@pytest.mark.parametrize("loss", ["mse", "kernel"])
+@pytest.mark.parametrize("key,value", [("h", -1.0), ("h", 0.0),
+                                       ("lambda_mix", 7.0),
+                                       ("lambda_mix", -0.1)])
+def test_sweep_out_of_range_parameter_exit_two(tmp, capsys, loss, key, value):
+    # Rejected when the config is built, whatever the losses, so no
+    # instance or RIP probe is made first.
+    with pytest.raises(ValueError, match=f"{key} must"):
+        SweepConfig(losses=(loss,), **{key: value})
+    out = tmp / "s.csv"
+    code = main(["sweep", "--n", "6", "--rank", "1", "--m", "60", "--trials",
+                 "1", "--eps", "0.5", "--loss", loss,
+                 "--" + key.replace("_", "-"), str(value), "--out", str(out)])
+    assert code == 2
+    assert f"{key} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_explicit_init_needs_init_file(tmp, capsys):
     inst_file = tmp / "inst.json"
     main(["gen", "--n", "6", "--rank", "2", "--m", "40", "--spectrum", "2,1",

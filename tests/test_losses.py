@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernsense.empirics import _hess_gaps
-from kernsense.losses import (_FGT_MIN_M, LossSpec, _dense_sums, _fgt_sums,
-                              _kernel, _kernel_hessian, grad_M, grad_residual,
-                              grad_X, hessian_quadratic_form,
+from kernsense.losses import (_FGT_MIN_M, _FGT_TERMS, LossSpec, _dense_sums,
+                              _fgt_sums, _kernel, _kernel_hessian, grad_M,
+                              grad_residual, grad_X, hessian_quadratic_form,
                               hessian_vector_product, hvp_residual,
                               kernel_row_means, lambda_min_hessian,
                               loss_and_grad_residual, loss_value, residuals)
@@ -251,6 +251,59 @@ class TestKernelFastPath:
         assert np.array_equal(grad_residual(spec, r), want[1])
 
 
+def assert_fast_matches_dense(r, h, seed):
+    """Value (1e-12), gradient and HVP (1e-10 in norm) of the fast path
+    against the dense tables, and a zero-sum gradient."""
+    v_ref, g_ref = dense_kernel(r, h)
+    v, g = fast_kernel(r, h)
+    assert abs(v - v_ref) <= 1e-12 * abs(v_ref)
+    assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
+    assert abs(g.sum()) < 1e-10
+    u = np.random.default_rng([seed, 5]).standard_normal(r.size)
+    hu_ref = _kernel_hessian(r, h, _dense_sums)(u)
+    hu = _kernel_hessian(r, h, _fgt_sums)(u)
+    assert np.linalg.norm(hu - hu_ref) <= 1e-10 * np.linalg.norm(hu_ref)
+
+
+class TestDenseAndSparseBoxes:
+    """Boxes of at least 2p = 48 points are reduced and evaluated by one
+    BLAS product each, the other boxes in one vectorized batch; both must
+    meet the fast path's tolerances against the dense tables."""
+
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(n_dense=st.integers(4 * _FGT_TERMS, 3000),
+           n_out=st.integers(1, 60), width=st.floats(1e-3, 0.12),
+           h=st.floats(0.1, 2.0), seed=st.integers(0, 2**32 - 1))
+    def test_cluster_with_outliers(self, n_dense, n_out, width, h, seed):
+        # At least 4p points within +-0.12h, under half a box of width h/2,
+        # fill at most two boxes, so one is dense.  The outliers sit near
+        # whole bandwidths from the cluster, in sparse boxes, some within
+        # the reach of the cluster and some beyond it.
+        rng = np.random.default_rng(seed)
+        cluster = width * h * rng.uniform(-1.0, 1.0, n_dense)
+        steps = rng.choice(np.r_[-9:0, 1:10], n_out)
+        outliers = h * (steps + rng.uniform(-0.2, 0.2, n_out))
+        r = rng.permutation(np.concatenate((cluster, outliers)))
+        assert_fast_matches_dense(r, h, seed)
+
+    @pytest.mark.parametrize("n", [2 * _FGT_TERMS - 1, 2 * _FGT_TERMS])
+    def test_box_at_the_threshold(self, n):
+        # The cluster's minimum, -3h, centres box 0, so the n points within
+        # h/10 of 0 fill box 6 alone; the other points lie at least h/2
+        # from them, within the reach.
+        h = 0.8
+        rng = np.random.default_rng(n)
+        box = 0.1 * h * rng.uniform(-1.0, 1.0, n)
+        rest = h * rng.uniform(0.5, 3.0, 300) * rng.choice([-1.0, 1.0], 300)
+        r = rng.permutation(np.concatenate(([-3.0 * h], box, rest)))
+        assert_fast_matches_dense(r, h, n)
+
+    @pytest.mark.parametrize("m", [2 * _FGT_TERMS, _FGT_MIN_M, 4000])
+    def test_dense_box_of_equal_residuals_is_exact(self, m):
+        v, g = fast_kernel(np.full(m, -1.3), 0.7)
+        assert v == 0.0 and not np.any(g)
+
+
 class TestSortedEvaluation:
     """The kernel entry points sort the residuals once and hand the sorted
     vector to the sums, so the fast path depends on the residuals' values,
@@ -265,6 +318,7 @@ class TestSortedEvaluation:
            kind=st.sampled_from(["normal", "student_t", "cauchy"]),
            seed=st.integers(0, 2**32 - 1), ties=st.booleans())
     @example(m=_FGT_MIN_M, h=0.5, kind="normal", seed=2, ties=True)
+    @example(m=_FGT_MIN_M, h=1.0, kind="normal", seed=0, ties=True)
     def test_permutation_commutes(self, m, h, kind, seed, ties):
         r = sample_residuals(kind, m, seed)
         if ties:
@@ -608,6 +662,16 @@ class TestLambdaMin:
                                    inst.truth.matrix, iters=20, seed=6)
                 for _ in range(2)]
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("iters", [2.5, True, 0, -1, "40"])
+    def test_rejects_budget_that_is_not_a_count(self, iters):
+        # A fraction raised TypeError from range(), and True ran one step
+        # and reported iterations=True.
+        inst = _student_t_top(4, 1, 40, seed=34)
+        with pytest.raises(ValueError, match="iters must be"):
+            lambda_min_hessian(LossSpec.kernel(0.5), inst.op,
+                               inst.measurements, inst.truth.matrix,
+                               iters=iters)
 
     def test_non_finite_residuals_give_nan(self):
         inst = _student_t_top(4, 1, 40, seed=34)

@@ -267,6 +267,15 @@ class TestRipEstimate:
         with pytest.raises(ValueError):
             estimate_rip(op, rank=5, trials=5, seed=0)
 
+    @pytest.mark.parametrize("trials", [2.5, True, np.float64(3.0), "4"])
+    def test_rejects_trials_that_are_not_counts(self, trials):
+        # A fraction raised TypeError from range(), and True ran one trial
+        # and came back as trials=True.
+        op = gen_gaussian_operator(4, 10, seed=0)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            estimate_rip(op, rank=2, trials=trials, seed=0)
+        assert estimate_rip(op, rank=2, trials=np.int64(3), seed=0).trials == 3
+
 
 class TestNoise:
     def test_zero_scale_gaussian(self):
