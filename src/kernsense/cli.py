@@ -27,7 +27,8 @@ from .model import (NoiseModel, ProblemInstance, apply_op, estimate_rip,
                     instance_from_json, instance_to_json, make_instance,
                     prob_norm_bound)
 from .optimize import (ETA_SELECTORS, SolverConfig, auto_step_size, check_eta,
-                       error_frobenius, gradient_descent, trace_csv)
+                       check_init_X0, error_frobenius, gradient_descent,
+                       trace_csv)
 from .verify import run_verification
 
 SWEEP_CSV_HEADER = "loss,epsilon,real_error,bound_error,lipschitz_L,hessian_H,flags"
@@ -360,14 +361,25 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _init_file(path: str, n: int) -> np.ndarray:
+    """The --init-file matrix, checked as gradient_descent checks init_X0."""
+    text = Path(path).read_text()
+    try:
+        return check_init_X0(json.loads(text), n)
+    except ValueError as exc:            # also malformed JSON
+        raise ValueError(f"--init-file {path}: {exc}") from None
+
+
 def _cmd_solve(args) -> int:
     if args.init == "explicit" and args.init_file is None:
         raise ValueError("--init explicit needs --init-file")
+    # h and lambda_mix are checked whatever the loss, as sweep does.
+    LossSpec.combined(args.lambda_mix, args.h)
     inst = instance_from_json(Path(args.instance).read_text())
     spec = _loss_spec(args.loss, args.h, args.lambda_mix)
     init_x0 = None
     if args.init == "explicit":
-        init_x0 = np.array(json.loads(Path(args.init_file).read_text()))
+        init_x0 = _init_file(args.init_file, inst.truth.n)
     config = SolverConfig(eta=args.eta, max_iters=args.max_iters,
                           grad_tol=args.grad_tol, init=args.init,
                           init_scale=args.init_scale, init_X0=init_x0,

@@ -11,8 +11,16 @@
 # adjoint_op for the problems still running, and a problem that ends leaves
 # the stack.  Stacked operator products are zero-padded blocks of
 # model._OP_BLOCK rows, so a problem's trajectory is the same bits in any
-# tuple, at any position; a bare call keeps one matrix-vector product per
-# operator call, so its bits differ from its tuple-of-one bits by rounding.
+# tuple, at any position.  A bare call differs from its tuple-of-one bits
+# by rounding: a bare MSE solve descends on the normal equations
+# (losses._mse_normal: A*A formed once per call, then one k x k product
+# per step, k = n(n+1)/2), and any other bare solve makes matrix-vector
+# products.  Measured at n = 40 on a 2-vCPU Xeon, the normal form pays for
+# its build (one m k^2 product) after about 36, 45 and 60 steps at
+# m = 4000, 2000 and 1200.
+# Tuples keep the residual form, where MSE rows ride the operator blocks
+# that the other rows pay for, and a problem's bits must not depend on
+# what it is stacked with.
 
 from __future__ import annotations
 
@@ -26,11 +34,12 @@ import numpy as np
 from .empirics import estimate_rho
 from .model import (ProblemInstance, SensingOperator, _check_count,
                     adjoint_op, apply_op, estimate_rip)
-from .losses import KERNEL, MSE, LossSpec, loss_and_grad_residual
+from .losses import KERNEL, MSE, LossSpec, _mse_normal, loss_and_grad_residual
 
 __all__ = [
     "ETA_SELECTORS",
     "check_eta",
+    "check_init_X0",
     "SolverConfig",
     "SolveResult",
     "SolveResults",
@@ -124,6 +133,26 @@ def check_eta(eta) -> None:
         raise ValueError(f"explicit eta must be a number > 0, got {eta!r}")
 
 
+def check_init_X0(X0, n: Optional[int] = None) -> np.ndarray:
+    """X0 as a new float array; ValueError naming init_X0 unless it is a
+    finite 2-D real array with at least one column (none would read as
+    converged at once), with n rows when n is given."""
+    try:
+        X = np.asarray(X0)
+        real = X.ndim == 2 and X.dtype.kind in "iuf" and X.shape[1] > 0
+    except ValueError:                   # nested sequences of unequal length
+        real = False
+    if not real:
+        raise ValueError(f"init_X0 must be a 2-D array of real numbers with "
+                         f"at least one column, got {X0!r:.60}")
+    X = X.astype(float)
+    if not np.all(np.isfinite(X)):
+        raise ValueError("init_X0 must be finite")
+    if n is not None and X.shape[0] != n:
+        raise ValueError(f"init_X0 must have n={n} rows, got shape {X.shape}")
+    return X
+
+
 # ---------------------------------------------------------------------------
 # Solver
 # ---------------------------------------------------------------------------
@@ -133,7 +162,8 @@ class SolverConfig:
     """Gradient-descent configuration.
 
     eta: positive float, or a selector from ETA_SELECTORS.
-    init: "spectral", "ground_truth_perturbed", or "explicit" (set init_X0).
+    init: "spectral", "ground_truth_perturbed", or "explicit" (set init_X0,
+    a finite 2-D real array; gradient_descent checks that it has n rows).
     """
 
     eta: object = "auto"
@@ -156,6 +186,8 @@ class SolverConfig:
             raise ValueError(f"unknown init {self.init!r}")
         if self.init == "explicit" and self.init_X0 is None:
             raise ValueError("explicit init requires init_X0")
+        if self.init_X0 is not None:
+            check_init_X0(self.init_X0)
 
 
 @dataclass(frozen=True)
@@ -209,7 +241,7 @@ def _init_point(instance: ProblemInstance, config: SolverConfig) -> np.ndarray:
         pert = rng.standard_normal(X.shape)
         pert *= config.init_scale * np.linalg.norm(X) / np.linalg.norm(pert)
         return X + pert
-    return np.array(config.init_X0, dtype=float, copy=True)
+    return check_init_X0(config.init_X0, instance.truth.n)
 
 
 def auto_step_size(instance: ProblemInstance, spec, selector: str = "auto",
@@ -253,6 +285,7 @@ class _Descent:
 
     def __init__(self, instance: ProblemInstance, spec: LossSpec,
                  config: SolverConfig):
+        self.X = _init_point(instance, config)
         if isinstance(config.eta, str):
             eta = auto_step_size(instance, spec, config.eta, seed=config.seed)
         else:
@@ -262,7 +295,6 @@ class _Descent:
         self.spec, self.config, self.eta = spec, config, eta
         self.b = instance.measurements
         self.M_star = instance.truth.matrix
-        self.X = _init_point(instance, config)
         self.losses = []
         self.errors = []
         self.steps = 0
@@ -298,7 +330,11 @@ def gradient_descent(instance, spec, config):
     The instances of a tuple must share one operator: every iteration
     applies it and its adjoint once to the stack of running problems.  A
     problem's result is the same bits in every tuple that holds it, and
-    agrees with its bare call to rounding.
+    agrees with its bare call to rounding.  A bare MSE call forms the
+    normal matrix A*A once (5.4 MB at n = 40), freed on return, and each
+    step is one k x k product (losses._mse_normal, whose value carries an
+    absolute rounding error of order 2^-53 ||b||^2); other bare calls apply
+    the operator and its adjoint once per step.
     """
     stacked = isinstance(instance, tuple)
     if any(isinstance(a, tuple) != stacked for a in (spec, config)) or (
@@ -314,22 +350,29 @@ def gradient_descent(instance, spec, config):
            for inst in instance[1:]):
         raise ValueError("stacked problems must share one operator")
     runs = [_Descent(*p) for p in zip(instance, spec, config)]
+    normal = (_mse_normal(op, runs[0].b)
+              if not stacked and runs[0].spec.kind == MSE else None)
 
     def evaluate(active):
         XXt = [run.X @ run.X.T for run in active]
-        # A bare call applies the operator to one matrix and one vector,
-        # which BLAS computes as matrix-vector products.
-        R = np.stack([run.b for run in active]) - apply_op(
-            op, np.stack(XXt) if stacked else XXt[0])
-        gs = []
-        for run, M, r in zip(active, XXt, R):
-            run.val, g = loss_and_grad_residual(run.spec, r)
+        if normal is not None:
+            active[0].val, grad = normal(XXt[0])
+            grads = grad[None]
+        else:
+            # A bare call applies the operator to one matrix and one
+            # vector, which BLAS computes as matrix-vector products.
+            R = np.stack([run.b for run in active]) - apply_op(
+                op, np.stack(XXt) if stacked else XXt[0])
+            gs = []
+            for run, r in zip(active, R):
+                run.val, g = loss_and_grad_residual(run.spec, r)
+                gs.append(g)
+            grads = -adjoint_op(op, np.stack(gs) if stacked
+                                else gs[0]).reshape(-1, op.n, op.n)
+        for run, M, grad in zip(active, XXt, grads):
             run.losses.append(run.val)
             run.errors.append(float(np.linalg.norm(M - run.M_star)))
-            gs.append(g)
-        adj = adjoint_op(op, np.stack(gs) if stacked else gs[0])
-        for run, a in zip(active, adj.reshape(-1, op.n, op.n)):
-            run.gX = 2.0 * (-a) @ run.X
+            run.gX = 2.0 * grad @ run.X
             run.gnorm = float(np.linalg.norm(run.gX))
 
     # A diverging iterate overflows; the loop reports that as "non_finite",

@@ -152,6 +152,60 @@ def test_solve_explicit_init_needs_init_file(tmp, capsys):
     assert not (tmp / "run_summary.json").exists()
 
 
+@pytest.mark.parametrize("doc,why", [
+    ('{"x": [[1, 2]]}', "2-D array"), ("[[1, 2], [3]]", "2-D array"),
+    ('[["a", "b"]]', "2-D array"), ("[1, 2, 3, 4, 5, 6]", "2-D array"),
+    (json.dumps([[]] * 6), "at least one column"),
+    (json.dumps([[math.nan, 1.0]] * 6), "finite"),
+    ("[[1, 2], [3, 4]]", "6 rows")])
+def test_solve_bad_init_file_exit_two(tmp, capsys, doc, why):
+    # Each gave a traceback, ran as a divergence (exit 3), converged at once
+    # (no columns) or named neither the flag nor the file.
+    inst_file = tmp / "inst.json"
+    main(["gen", "--n", "6", "--rank", "2", "--m", "40", "--spectrum", "2,1",
+          "--noise", "gaussian", "--noise-params", "sigma=0.1", "--seed", "3",
+          "--out", str(inst_file)])
+    init_file = tmp / "x0.json"
+    init_file.write_text(doc)
+    code = main(["solve", "--instance", str(inst_file), "--init", "explicit",
+                 "--init-file", str(init_file), "--out", str(tmp / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"--init-file {init_file}" in err and "init_X0" in err
+    assert why in err
+    assert not (tmp / "run_summary.json").exists()
+
+
+def test_solve_good_init_file_is_the_start(tmp):
+    inst_file = tmp / "inst.json"
+    main(["gen", "--n", "6", "--rank", "2", "--m", "40", "--spectrum", "2,1",
+          "--noise", "gaussian", "--noise-params", "sigma=0", "--seed", "3",
+          "--out", str(inst_file)])
+    init_file = tmp / "x0.json"
+    init_file.write_text(json.dumps(
+        instance_from_json(inst_file.read_text()).truth.factor.tolist()))
+    code = main(["solve", "--instance", str(inst_file), "--init", "explicit",
+                 "--init-file", str(init_file), "--out", str(tmp / "run")])
+    assert code == 0
+    summary = json.loads((tmp / "run_summary.json").read_text())
+    assert summary["final_error"] < 1e-12
+
+
+@pytest.mark.parametrize("loss", ["mse", "kernel", "combined"])
+@pytest.mark.parametrize("flags,key", [
+    (["--h", "-3", "--lambda-mix", "9"], "h"), (["--h", "0"], "h"),
+    (["--lambda-mix", "9"], "lambda_mix"),
+    (["--lambda-mix", "nan"], "lambda_mix")])
+def test_solve_out_of_range_parameter_exit_two(tmp, capsys, loss, flags, key):
+    # Checked whatever the loss, as sweep checks them, and before the
+    # instance is read: this one does not exist.
+    code = main(["solve", "--instance", str(tmp / "missing.json"), "--loss",
+                 loss, *flags, "--out", str(tmp / "run")])
+    assert code == 2
+    assert f"{key} must" in capsys.readouterr().err
+    assert not (tmp / "run_summary.json").exists()
+
+
 def test_solve_instance_directory_exit_two(tmp, capsys):
     code = main(["solve", "--instance", str(tmp), "--out", str(tmp / "run")])
     assert code == 2

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernsense.losses import LossSpec, loss_and_grad_residual
+from kernsense.losses import (LossSpec, loss_and_grad_residual, loss_value,
+                              residuals)
 from kernsense.model import NoiseModel, adjoint_op, apply_op, make_instance
 from kernsense.optimize import (ConvergenceBoundInputs, SolverConfig,
                                 SolveResults, auto_step_size, dist_factor,
@@ -15,6 +16,7 @@ from kernsense.optimize import (ConvergenceBoundInputs, SolverConfig,
                                 project_rank_r, step_size_bound, trace_csv)
 
 SQRT2 = math.sqrt(2.0)
+_SPECS = (LossSpec.mse(), LossSpec.kernel(0.3), LossSpec.combined(0.4, 0.3))
 
 
 class TestStepSizeBound:
@@ -109,6 +111,32 @@ class TestGradientDescent:
             SolverConfig(eta=0.01, max_iters=max_iters)
         assert SolverConfig(eta=0.01, max_iters=np.int64(3)).max_iters == 3
 
+    @pytest.mark.parametrize("X0", [{"x": 1.0}, [[1.0, 2.0], [3.0]],
+                                    np.ones(6), np.ones((6, 2, 1)),
+                                    np.ones((6, 0)),
+                                    np.full((6, 2), np.nan),
+                                    np.full((6, 2), np.inf),
+                                    np.ones((6, 2), dtype=complex),
+                                    np.ones((6, 2), dtype=bool),
+                                    [["a", "b"]] * 6])
+    def test_config_rejects_bad_init_X0(self, X0):
+        with pytest.raises(ValueError, match="init_X0"):
+            SolverConfig(eta=0.01, init="explicit", init_X0=X0)
+
+    @pytest.mark.parametrize("spec", _SPECS)
+    def test_init_X0_needs_n_rows(self, spec):
+        # The MSE packs X X^T itself, so no operator call would catch it.
+        inst = make_instance(6, 2, 40, (2, 1), NoiseModel.gaussian(0.1), seed=3)
+        for X0 in (np.ones((2, 2)), np.ones((7, 2))):
+            with pytest.raises(ValueError, match="init_X0 must have n=6 rows"):
+                gradient_descent(inst, spec, SolverConfig(
+                    eta=0.01, max_iters=3, init="explicit", init_X0=X0))
+        # An integer start is a real array.
+        res = gradient_descent(inst, spec, SolverConfig(
+            eta=0.01, max_iters=3, init="explicit",
+            init_X0=np.ones((6, 2), dtype=int)))
+        assert res.X_hat.dtype == float and res.iterations_run == 3
+
     def test_auto_kernel_equals_h2_times_auto_mse(self):
         inst = make_instance(8, 2, 120, (2, 1), NoiseModel.gaussian(0.1), seed=7)
         e_mse = auto_step_size(inst, LossSpec.mse(), "auto", seed=3)
@@ -139,7 +167,6 @@ def test_auto_step_size_tuple_equals_one_spec_calls(selector, seed,
 # scale, eta, grad_tol, max_iters) on one shared operator, so problems
 # leave the stack at different iterations; the bandwidth sits at the
 # residual scale so the kernel terms are not flat.
-_SPECS = (LossSpec.mse(), LossSpec.kernel(0.3), LossSpec.combined(0.4, 0.3))
 _problem = st.tuples(st.integers(0, 2), st.integers(0, 2 ** 16),
                      st.floats(0.05, 1.0), st.floats(0.005, 0.03),
                      st.sampled_from([0.0, 0.3]), st.integers(1, 25))
@@ -232,25 +259,80 @@ def test_stacked_solve_diverging_problem_leaves_the_rest(n, r, m, draws,
         _same_bits(res[i], alone[i])
 
 
+def _normal_equations(op, b):
+    """The textbook MSE on the normal equations in packed coordinates:
+    M -> (0.5 ||b||^2 - <c, x> + 0.5 <x, G x>, unpacked G x - c), with
+    G = P^T P, c = A*(b) packed and x = packed M (off-diagonals doubled)."""
+    iu = np.triu_indices(op.n)
+    diag = np.flatnonzero(iu[0] == iu[1])
+    full = np.empty((op.n, op.n), dtype=int)
+    full[iu] = full[iu[::-1]] = np.arange(iu[0].size)
+    G = op.P.T @ op.P
+    c = adjoint_op(op, b)[iu]
+    half_bb = 0.5 * float(b @ b)
+
+    def value_and_grad(M):
+        x = (M + M.T)[iu]
+        x[diag] = np.diag(M)
+        y = G @ x
+        return half_bb - float(c @ x) + 0.5 * float(x @ y), (y - c)[full]
+
+    return value_and_grad
+
+
 @settings(max_examples=8, deadline=None, database=None)
 @given(draw=_problem, **_shapes)
 def test_bare_solve_is_the_plain_loop(n, r, m, draw):
-    # A bare call keeps one matrix-vector product per operator call, so it
-    # is the textbook loop bit for bit.
+    # A bare call is the textbook loop bit for bit: the MSE descends on the
+    # normal equations, the other losses make one matrix-vector product
+    # per operator call.
     (inst,), (spec,), (config,) = _stack(n, r, m, [draw])
     res = gradient_descent(inst, spec, config)
     op, b = inst.op, inst.measurements
+    normal = _normal_equations(op, b) if spec == LossSpec.mse() else None
     X = gradient_descent(inst, spec, replace(config, grad_tol=1e300)).X_hat
     losses = []
     for step in range(res.iterations_run + 1):
-        val, g = loss_and_grad_residual(spec, b - apply_op(op, X @ X.T))
+        if normal is not None:
+            val, gM = normal(X @ X.T)
+        else:
+            val, g = loss_and_grad_residual(spec, b - apply_op(op, X @ X.T))
+            gM = -adjoint_op(op, g)
         losses.append(val)
-        gX = 2.0 * (-adjoint_op(op, g)) @ X
+        gX = 2.0 * gM @ X
         if step < res.iterations_run:
             X = X - config.eta * gX
     assert X.tobytes() == res.X_hat.tobytes()
     assert np.array(losses).tobytes() == res.loss_trace.tobytes()
     assert float(np.linalg.norm(gX)) == res.grad_norm
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(n=st.integers(2, 7), r=st.integers(1, 2), m=st.integers(3, 120),
+       scale=st.sampled_from([0.0, 1e-8]) | st.floats(1e-3, 3.0),
+       seed=st.integers(0, 2 ** 16), iters=st.integers(1, 40))
+def test_bare_mse_value_within_its_bound(n, r, m, scale, seed, iters):
+    # The normal-equations value carries an absolute rounding error that
+    # losses._mse_normal bounds by (m + 2k + 2) u (||b|| + || |A|(|M|) ||)^2;
+    # the draws reach noiseless instances and m < k = n(n+1)/2.
+    r = min(r, n)
+    inst = make_instance(n, r, m, (2.0, 1.0)[:r], NoiseModel.gaussian(0.0),
+                         seed=seed)
+    w = np.random.default_rng(seed).standard_normal(m)
+    b = inst.measurements + scale * w / np.linalg.norm(w)
+    inst = replace(inst, measurements=b)
+    res = gradient_descent(inst, LossSpec.mse(), SolverConfig(
+        eta=0.01, max_iters=iters, grad_tol=0.0,
+        init="ground_truth_perturbed", init_scale=0.3, seed=seed))
+    assert res.termination == "max_iters"
+    X = res.X_hat
+    M = X @ X.T
+    k = n * (n + 1) // 2
+    abs_op = replace(inst.op, P=np.abs(inst.op.P))
+    bound = (m + 2 * k + 2) * 2.0 ** -53 * (
+        np.linalg.norm(b) + np.linalg.norm(apply_op(abs_op, np.abs(M)))) ** 2
+    exact = loss_value(LossSpec.mse(), residuals(inst.op, b, X))
+    assert abs(res.loss_trace[-1] - exact) <= bound
 
 
 def test_stacked_solve_rejects_mismatched_problems():
