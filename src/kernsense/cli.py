@@ -373,6 +373,13 @@ def _init_file(path: str, n: int) -> np.ndarray:
 def _cmd_solve(args) -> int:
     if args.init == "explicit" and args.init_file is None:
         raise ValueError("--init explicit needs --init-file")
+    # A flag the chosen init does not read would be ignored silently.
+    if args.init_file is not None and args.init != "explicit":
+        raise ValueError(f"--init-file needs --init explicit, got --init "
+                         f"{args.init}")
+    if args.init_scale is not None and args.init != "ground_truth_perturbed":
+        raise ValueError(f"--init-scale needs --init ground_truth_perturbed, "
+                         f"got --init {args.init}")
     # h and lambda_mix are checked whatever the loss, as sweep does.
     LossSpec.combined(args.lambda_mix, args.h)
     inst = instance_from_json(Path(args.instance).read_text())
@@ -382,7 +389,8 @@ def _cmd_solve(args) -> int:
         init_x0 = _init_file(args.init_file, inst.truth.n)
     config = SolverConfig(eta=args.eta, max_iters=args.max_iters,
                           grad_tol=args.grad_tol, init=args.init,
-                          init_scale=args.init_scale, init_X0=init_x0,
+                          init_scale=(0.1 if args.init_scale is None
+                                      else args.init_scale), init_X0=init_x0,
                           seed=args.seed)
     res = gradient_descent(inst, spec, config)
 
@@ -576,7 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--grad-tol", type=float, default=1e-10)
     s.add_argument("--init", type=str, default="spectral",
                    choices=["spectral", "ground_truth_perturbed", "explicit"])
-    s.add_argument("--init-scale", type=float, default=0.1)
+    s.add_argument("--init-scale", type=float, default=None,
+                   help="perturbation scale for --init ground_truth_perturbed"
+                   " (default 0.1)")
     s.add_argument("--init-file", type=str, default=None,
                    help="JSON array X0 for --init explicit")
     s.add_argument("--seed", type=int, default=0)

@@ -7,6 +7,8 @@
 # All constants are defined as suprema over infinite sets; the estimators
 # report sampled lower bounds, deterministic in the seed and monotone under
 # nested sample counts (sample i always draws from child seed (seed, i)).
+# model._draws writes that contract once, with its count check: every
+# estimator here, and model.estimate_rip, draws its samples through it.
 #
 # Each estimator first draws all its samples, in order and with its guard
 # skips, and stacks them.  The stack goes through one apply_op, and every
@@ -41,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (SensingOperator, adjoint_op, apply_op, estimate_rip,
-                    random_low_rank_symmetric)
+from .model import (SensingOperator, _derived_seeds, _draws, adjoint_op,
+                    apply_op, estimate_rip, random_low_rank_symmetric)
 from .losses import (KERNEL, MSE, LossSpec, _mix, grad_residual, grad_X,
                      hvp_residual, kernel_row_means, loss_value, residuals)
 
@@ -138,27 +140,21 @@ def _noise_samples(op: SensingOperator, b, M_base, samples: int, seed: int,
     """Stacks (matrices, w, ||w||) of the zeta estimators' kept samples:
     matrices[i] holds M and then `dirs` directions; samples with ||w|| below
     the guard are skipped.  None when every sample is skipped."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if mag_range is None:
         mag_range = (1e-3, max(float(np.linalg.norm(b)), 1e-3))
     M_base = np.asarray(M_base, dtype=float)
     k = max(1, min(op.n, rank))
-    kept = []
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
+
+    def draw(rng):
         M = M_base + scale * rng.uniform(0.0, 1.0) * \
             random_low_rank_symmetric(op.n, k, rng)
         mats = [M] + [random_low_rank_symmetric(op.n, k, rng)
                       for _ in range(dirs)]
         w = _sample_noise_dir(rng, op.m, mag_range)
         nw = np.linalg.norm(w)
-        if nw >= _GUARD:
-            kept.append((mats, w, nw))
-    if not kept:
-        return None
-    mats, w, nw = zip(*kept)
-    return np.array(mats), np.array(w), nw
+        return (mats, w, nw) if nw >= _GUARD else None
+
+    return _draws("samples", samples, seed, draw)
 
 
 def estimate_zeta1(spec: LossSpec, op: SensingOperator, b, M_base,
@@ -201,38 +197,26 @@ def estimate_zeta2(spec: LossSpec, op: SensingOperator, b, M_base,
 
 
 def estimate_rho(spec, op: SensingOperator, b, samples: int, seed: int,
-                 rank: int = 2, scale: float = 1.0,
-                 gap_range=(1e-3, 1.0)):
+                 rank: int = 2, scale: float = 1.0):
     """Sampled sup of ||grad(M) - grad(M')||_F / ||M - M'||_F.
 
     Pairs are rank <= rank symmetric matrices at log-uniform magnitudes,
-    separated by a log-uniform gap from gap_range.  Degenerate pairs
-    (denominator below the guard) are skipped; if every pair is degenerate
-    a ValueError is raised.  spec is a LossSpec, or a tuple of them for one
-    estimate per spec, in order, from one sample set: each gives what it
-    gives alone.
+    separated by a unit-norm rank <= rank step of log-uniform length in
+    [1e-3, 1], so no pair is degenerate.  spec is a LossSpec, or a tuple
+    of them for one estimate per spec, in order, from one sample set: each
+    gives what it gives alone.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     rank = max(1, min(rank, op.n))
-    pairs = []
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
+
+    def draw(rng):
         s = math.exp(rng.uniform(math.log(1e-2), math.log(max(scale, 1e-2))))
-        if gap_range[1] <= 0:
-            t = 0.0
-        else:
-            t = math.exp(rng.uniform(math.log(max(gap_range[0], 1e-12)),
-                                     math.log(gap_range[1])))
+        t = math.exp(rng.uniform(math.log(1e-3), math.log(1.0)))
         M = s * random_low_rank_symmetric(op.n, rank, rng)
         Mp = M + t * random_low_rank_symmetric(op.n, rank, rng)
-        dn = np.linalg.norm(M - Mp)
-        if dn >= _GUARD:
-            pairs.append(((M, Mp), dn))
-    if not pairs:
-        raise ValueError("all sampled pairs were degenerate (M' == M)")
-    mats, dn = zip(*pairs)
-    r = np.asarray(b) - apply_op(op, np.array(mats))
+        return (M, Mp), np.linalg.norm(M - Mp)
+
+    mats, dn = _draws("samples", samples, seed, draw)
+    r = np.asarray(b) - apply_op(op, mats)
     rho = tuple(max(float(np.linalg.norm(gap)) / d for gap, d in zip(gaps, dn))
                 for gaps in _grad_gaps(_specs(spec), op, r[:, 0], r[:, 1]))
     return rho if isinstance(spec, tuple) else rho[0]
@@ -247,30 +231,29 @@ def estimate_lambda12(spec, op: SensingOperator, b, M, samples: int,
     (lambda1, lambda2) per spec, in order, from one sample set: each gives
     what it gives alone.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if mag_range is None:
         mag_range = (1e-3, max(float(np.linalg.norm(b)), 1e-3))
     specs = _specs(spec)
     M = np.asarray(M, dtype=float)
     r = np.asarray(b) - apply_op(op, M)
     k = max(1, min(op.n, rank))
-    kept = []
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
+
+    def draw(rng):
         w1 = _sample_noise_dir(rng, op.m, mag_range)
         w2 = _sample_noise_dir(rng, op.m, mag_range)
         dw = np.linalg.norm(w1 - w2)
-        if dw >= _GUARD:
-            KL = [random_low_rank_symmetric(op.n, k, rng) for _ in range(2)]
-            kept.append(((r + w1, r + w2), KL, dw))
-    if not kept:
+        if dw < _GUARD:
+            return None
+        KL = [random_low_rank_symmetric(op.n, k, rng) for _ in range(2)]
+        return (r + w1, r + w2), KL, dw
+
+    stacks = _draws("samples", samples, seed, draw)
+    if stacks is None:
         lam = ((0.0, 0.0),) * len(specs)
     else:
-        rw, dirs, dw = zip(*kept)
-        rw = np.array(rw)
+        rw, dirs, dw = stacks
         grads = _grad_gaps(specs, op, rw[:, 0], rw[:, 1])
-        a = apply_op(op, np.array(dirs))        # rows A(K), A(L)
+        a = apply_op(op, dirs)                  # rows A(K), A(L)
         hess = zip(*(_hess_gaps(specs, r1, r2, ak, al)     # per spec
                      for (r1, r2), (ak, al) in zip(rw, a)))
         lam = tuple(
@@ -367,7 +350,7 @@ def estimate_constants(spec: LossSpec, instance, samples: int,
     op, b = instance.op, instance.measurements
     M_star = instance.truth.matrix
     h_eff = spec.h if spec.h is not None else 1.0
-    seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(5)]
+    seeds = _derived_seeds(seed, 5)
     scale = max(1.0, float(np.linalg.norm(M_star)))
 
     rank2 = min(2 * instance.truth.r, op.n)

@@ -18,16 +18,16 @@
 # Pearlmutter 1994); finite differences live only in the gradient oracle
 # empirics.finite_diff_check and in the tests.
 #
-# The MSE also has a normal-equations form (_mse_normal): its matrix-space
-# gradient -A*(r) = A*A(M) - A*(b) is affine, so with G = A*A formed once
-# (model.normal_products) the value is 0.5 ||b||^2 - <A*(b), M>
-# + 0.5 ||A(M)||^2 and each evaluation costs one k x k product, k =
-# n(n+1)/2, instead of a pass over the operator each way.  Its rounding
-# error is absolute, of order u ||b||^2 with u = 2^-53 (the bound is in
-# _mse_normal), not relative to the loss: near a noiseless fit the value
-# reads ~1e-16 where the residual form reads ~1e-29, and may dip below 0.
-# Only bare MSE solves use it (optimize.gradient_descent); stacked solves,
-# the estimators and lambda_min keep the residual form.
+# The MSE also has a normal-equations form, model.normal_products: its
+# matrix-space gradient -A*(r) = A*A(M) - A*(b) is affine, so with G = A*A
+# formed once the value is 0.5 ||b||^2 - <A*(b), M> + 0.5 ||A(M)||^2 and
+# each evaluation costs one k x k product, k = n(n+1)/2, instead of a pass
+# over the operator each way.  Its rounding error is absolute, of order
+# u ||b||^2 with u = 2^-53 (the bound is in its docstring), not relative
+# to the loss: near a noiseless fit the value reads ~1e-16 where the
+# residual form reads ~1e-29, and may dip below 0.  Only bare MSE solves
+# use it (optimize.gradient_descent); stacked solves, the estimators and
+# lambda_min keep the residual form.
 #
 # The kernel algebra is written once over the weighted Gauss sums
 # S_k[q]_i = sum_j q_j E_ij d_ij^k, with d_ij = r_j - r_i,
@@ -71,8 +71,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import (SensingOperator, _check_count, adjoint_op, apply_op,
-                    normal_products)
+from .model import SensingOperator, _check_count, adjoint_op, apply_op
 
 __all__ = [
     "MSE", "KERNEL", "COMBINED", "LOSS_KINDS",
@@ -422,30 +421,6 @@ def _value_and_grad(spec: LossSpec, r: np.ndarray, grad: bool):
     lam = spec.lambda_mix
     return (lam * (float(r @ r) / r.size) + (1.0 - lam) * kv,
             _mix(spec, r, kg) if grad else None)
-
-
-def _mse_normal(op: SensingOperator, b: np.ndarray):
-    """The MSE 0.5 ||b - A(M)||^2 in normal-equations form: returns
-    M -> (value, -A*(r)) for symmetric M, with the value formed as
-    0.5 ||b||^2 - <A*(b), M> + 0.5 ||A(M)||^2 from one k x k product (see
-    model.normal_products, which forms A*A once per call).
-
-    Rounding: the value and loss_value on the residual b - A(M) each lie
-    within (m + 2k + 2) u (||b|| + || |A|(|M|) ||)^2 of the exact loss, to
-    first order in u = 2^-53, with k = n(n+1)/2 and |A| the operator with
-    entrywise absolute values: the terms are sums of at most m + 2k
-    products whose absolute values that square bounds.  The bound is
-    absolute, not relative to the loss, so near a noiseless fit the value
-    can read a few u ||b||^2, or below 0; it is not clamped.
-    """
-    half_bb = 0.5 * float(b @ b)
-    products = normal_products(op, b)
-
-    def value_and_grad(M):
-        cx, xgx, grad = products(M)
-        return half_bb - cx + 0.5 * xgx, grad
-
-    return value_and_grad
 
 
 def loss_value(spec: LossSpec, r: np.ndarray) -> float:

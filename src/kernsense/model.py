@@ -14,8 +14,9 @@
 #   entry by M_ab + M_ba, adjoint_op writes each packed entry into both
 #   triangles; op.mats unpacks the full (m, n, n) array on demand.
 # - Normal equations: G = P^T P (normal_matrix, k x k with k = n(n+1)/2)
-#   is A*A in packed coordinates, so a quadratic loss needs one k x k
-#   product per matrix instead of a pass over P each way (normal_products).
+#   is A*A in packed coordinates, so the least-squares loss and its
+#   gradient need one k x k product per matrix instead of a pass over P
+#   each way (normal_products).
 # - Batch axis: apply_op maps a stack (..., n, n) to (..., m) and
 #   adjoint_op maps (..., m) to (..., n, n).  A single matrix or vector is
 #   one matrix-vector product; a stack is matrix-matrix products over
@@ -375,30 +376,41 @@ def normal_matrix(op: SensingOperator) -> np.ndarray:
 
 
 def normal_products(op: SensingOperator, b: np.ndarray):
-    """The normal equations of least squares on A at b (Golub & Van Loan,
-    Matrix Computations, 5.3): returns M -> (<A*(b), M>, ||A(M)||^2,
-    A*(A(M)) - A*(b)) for symmetric n x n M, the gradient of
-    0.5 ||b - A(M)||^2 being the last.
+    """The least-squares loss 0.5 ||b - A(M)||^2 in normal-equations form
+    (Golub & Van Loan, Matrix Computations, 5.3): returns M -> (value,
+    gradient) for symmetric n x n M, the gradient being -A*(b - A(M)) =
+    A*(A(M)) - A*(b).
 
-    One G = normal_matrix(op) and one c = A*(b), packed, are formed per
-    call, and each M then costs one k x k product: with x the packed
-    coordinates of M, the three are <c, x>, <x, G x> and Gx - c unpacked.
-    G lives as long as the returned function.  M's shape is checked.
+    One G = normal_matrix(op), one c = A*(b), packed, and 0.5 ||b||^2 are
+    formed per call, and each M then costs one k x k product: with x the
+    packed coordinates of M, the value is 0.5 ||b||^2 - <c, x>
+    + 0.5 <x, G x>, summed in that order, and the gradient is Gx - c
+    unpacked.  G lives as long as the returned function.  M's shape is
+    checked.
+
+    Rounding: the value and the residual form 0.5 ||b - A(M)||^2 each lie
+    within (m + 2k + 2) u (||b|| + || |A|(|M|) ||)^2 of the exact loss, to
+    first order in u = 2^-53, with k = n(n+1)/2 and |A| the operator with
+    entrywise absolute values: the terms are sums of at most m + 2k
+    products whose absolute values that square bounds.  The bound is absolute, not relative to the
+    loss, so near a noiseless fit the value can read a few u ||b||^2, or
+    below 0; it is not clamped.
     """
     iu, _, full = _packing(op.n)
+    half_bb = 0.5 * float(b @ b)
     G = normal_matrix(op)
     c = adjoint_op(op, b)[iu]
 
-    def products(M):
+    def value_and_grad(M):
         M = np.asarray(M)
         if M.shape != (op.n, op.n):
             raise ValueError(f"expected an {(op.n, op.n)} matrix, got "
                              f"{M.shape}")
         x = _pack(M)
         y = G @ x
-        return float(c @ x), float(x @ y), (y - c)[full]
+        return half_bb - float(c @ x) + 0.5 * float(x @ y), (y - c)[full]
 
-    return products
+    return value_and_grad
 
 
 def random_low_rank_symmetric(n: int, rank: int, rng) -> np.ndarray:
@@ -430,21 +442,35 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 1")
 
 
+def _draws(name: str, count, seed: int, draw):
+    """The samples of a sampled estimate, drawn under one contract.
+
+    Sample i < count is draw(rng) with rng seeded by the child seed
+    (seed, i), so it never depends on count, and nested counts give nested
+    sample sets.  count is checked by _check_count, reported as name.  A
+    draw returns a tuple of arrays, or None to skip the sample.  Returns
+    the kept draws stacked field by field along a new first axis, or None
+    when none are kept.
+    """
+    _check_count(name, count)
+    kept = [d for d in (draw(np.random.default_rng([seed, i]))
+                        for i in range(count)) if d is not None]
+    return tuple(map(np.array, zip(*kept))) if kept else None
+
+
 def estimate_rip(op: SensingOperator, rank: int, trials: int, seed: int) -> RipEstimate:
     """
     Monte-Carlo lower bound on the rank-`rank` isometry defect.
 
     Samples `trials` random rank <= rank symmetric test matrices X and
     records the worst |  ||A(X)||^2 / ||X||_F^2 - 1 |.  Trial t draws from a
-    child seed (seed, t) so nested trial counts give nested sample sets;
-    all trials go through one stacked apply_op.
+    child seed (seed, t) (_draws), so nested trial counts give nested
+    sample sets; all trials go through one stacked apply_op.
     """
-    _check_count("trials", trials)
     if rank > op.n:
         raise ValueError("rank must be <= n")
-    xs = np.stack([random_low_rank_symmetric(op.n, rank,
-                                             np.random.default_rng([seed, t]))
-                   for t in range(trials)])
+    xs, = _draws("trials", trials, seed,
+                 lambda rng: (random_low_rank_symmetric(op.n, rank, rng),))
     # ||x||_F = 1, so the energy ratio is ||A(x)||^2.
     worst = max(abs(float(np.sum(y ** 2)) - 1.0) for y in apply_op(op, xs))
     return RipEstimate(delta_hat=worst, rank_tested=rank, trials=trials, seed=seed)

@@ -13,7 +13,7 @@
 # model._OP_BLOCK rows, so a problem's trajectory is the same bits in any
 # tuple, at any position.  A bare call differs from its tuple-of-one bits
 # by rounding: a bare MSE solve descends on the normal equations
-# (losses._mse_normal: A*A formed once per call, then one k x k product
+# (model.normal_products: A*A formed once per call, then one k x k product
 # per step, k = n(n+1)/2), and any other bare solve makes matrix-vector
 # products.  Measured at n = 40 on a 2-vCPU Xeon, the normal form pays for
 # its build (one m k^2 product) after about 36, 45 and 60 steps at
@@ -33,8 +33,9 @@ import numpy as np
 
 from .empirics import estimate_rho
 from .model import (ProblemInstance, SensingOperator, _check_count,
-                    adjoint_op, apply_op, estimate_rip)
-from .losses import KERNEL, MSE, LossSpec, _mse_normal, loss_and_grad_residual
+                    _derived_seeds, adjoint_op, apply_op, estimate_rip,
+                    normal_products)
+from .losses import KERNEL, MSE, LossSpec, loss_and_grad_residual
 
 __all__ = [
     "ETA_SELECTORS",
@@ -263,14 +264,13 @@ def auto_step_size(instance: ProblemInstance, spec, selector: str = "auto",
     op, b = instance.op, instance.measurements
     r = instance.truth.r
     specs = spec if isinstance(spec, tuple) else (spec,)
-    seeds = np.random.SeedSequence(seed).generate_state(2)
+    rho_seed, rip_seed = _derived_seeds(seed, 2)
     if selector == "auto_rho":
-        rhos = estimate_rho(specs, op, b, samples=rho_samples,
-                            seed=int(seeds[0]))
+        rhos = estimate_rho(specs, op, b, samples=rho_samples, seed=rho_seed)
     else:
         rhos = estimate_rho((LossSpec.mse(),), op, b, samples=rho_samples,
-                            seed=int(seeds[0])) * len(specs)
-    delta = estimate_rip(op, min(2 * r, op.n), 32, int(seeds[1])).delta_hat
+                            seed=rho_seed) * len(specs)
+    delta = estimate_rip(op, min(2 * r, op.n), 32, rip_seed).delta_hat
     delta = min(delta, 0.999)
     X0 = spectral_init(op, b, r)
     norm_mw = float(np.linalg.norm(X0 @ X0.T))
@@ -332,7 +332,7 @@ def gradient_descent(instance, spec, config):
     problem's result is the same bits in every tuple that holds it, and
     agrees with its bare call to rounding.  A bare MSE call forms the
     normal matrix A*A once (5.4 MB at n = 40), freed on return, and each
-    step is one k x k product (losses._mse_normal, whose value carries an
+    step is one k x k product (model.normal_products, whose value carries an
     absolute rounding error of order 2^-53 ||b||^2); other bare calls apply
     the operator and its adjoint once per step.
     """
@@ -350,7 +350,7 @@ def gradient_descent(instance, spec, config):
            for inst in instance[1:]):
         raise ValueError("stacked problems must share one operator")
     runs = [_Descent(*p) for p in zip(instance, spec, config)]
-    normal = (_mse_normal(op, runs[0].b)
+    normal = (normal_products(op, runs[0].b)
               if not stacked and runs[0].spec.kind == MSE else None)
 
     def evaluate(active):

@@ -152,6 +152,33 @@ def test_solve_explicit_init_needs_init_file(tmp, capsys):
     assert not (tmp / "run_summary.json").exists()
 
 
+@pytest.mark.parametrize("flag,value,init", [
+    ("--init-file", "/nonexistent.json", "--init explicit"),
+    ("--init-scale", "5", "--init ground_truth_perturbed")])
+def test_solve_flag_of_another_init_exit_two(tmp, capsys, flag, value, init):
+    # Each flag is read by one init only; with any other it would be
+    # ignored, so it is refused before the instance is read.
+    code = main(["solve", "--instance", str(tmp / "missing.json"), "--init",
+                 "spectral", flag, value, "--out", str(tmp / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{flag} needs {init}" in err and "missing.json" not in err
+    assert not (tmp / "run_summary.json").exists()
+
+
+def test_solve_init_scale_defaults_to_a_tenth(tmp):
+    inst_file = tmp / "inst.json"
+    main(["gen", "--n", "6", "--rank", "2", "--m", "40", "--spectrum", "2,1",
+          "--noise", "gaussian", "--noise-params", "sigma=0.1", "--seed", "3",
+          "--out", str(inst_file)])
+    args = ["solve", "--instance", str(inst_file), "--max-iters", "5",
+            "--init", "ground_truth_perturbed", "--seed", "2"]
+    assert main(args + ["--out", str(tmp / "a")]) == 0
+    assert main(args + ["--init-scale", "0.1", "--out", str(tmp / "b")]) == 0
+    assert ((tmp / "a_summary.json").read_bytes()
+            == (tmp / "b_summary.json").read_bytes())
+
+
 @pytest.mark.parametrize("doc,why", [
     ('{"x": [[1, 2]]}', "2-D array"), ("[[1, 2], [3]]", "2-D array"),
     ('[["a", "b"]]', "2-D array"), ("[1, 2, 3, 4, 5, 6]", "2-D array"),

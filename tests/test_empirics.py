@@ -75,11 +75,6 @@ class TestRho:
         rho = estimate_rho(LossSpec.mse(), op, np.zeros(16), samples=30, seed=9)
         assert abs(rho - 2.0) < 1e-9
 
-    def test_degenerate_pairs_rejected(self, inst):
-        with pytest.raises(ValueError):
-            estimate_rho(LossSpec.mse(), inst.op, inst.measurements,
-                         samples=5, seed=10, gap_range=(0.0, 0.0))
-
     def test_nested_monotone_and_deterministic(self, inst):
         a = estimate_rho(LossSpec.kernel(1.0), inst.op, inst.measurements,
                          samples=10, seed=30, rank=2, scale=2.0)
@@ -390,3 +385,23 @@ class TestStackedSampling:
         }
         for name, values in runs.items():
             assert all(a <= b for a, b in zip(values, values[1:])), name
+
+    # Each estimator's count goes through model._draws, which checks it
+    # before anything is drawn.
+    @pytest.mark.parametrize("count", [True, 2.5, "3", 0])
+    @pytest.mark.parametrize("name,estimate", [
+        ("trials", lambda i, k: estimate_rip(i.op, 2, k, 0)),
+        ("samples", lambda i, k: estimate_zeta1(
+            LossSpec.mse(), i.op, i.measurements, i.truth.matrix, k, 0)),
+        ("samples", lambda i, k: estimate_zeta2(
+            LossSpec.mse(), i.op, i.measurements, i.truth.matrix, k, 0)),
+        ("samples", lambda i, k: estimate_rho(
+            LossSpec.mse(), i.op, i.measurements, k, 0)),
+        ("samples", lambda i, k: estimate_lambda12(
+            LossSpec.mse(), i.op, i.measurements, i.truth.matrix, k, 0)),
+        ("samples", lambda i, k: estimate_constants(LossSpec.mse(), i, k, 0)),
+    ], ids=["rip", "zeta1", "zeta2", "rho", "lambda12", "constants"])
+    def test_count_must_be_a_positive_integer(self, inst, name, estimate,
+                                              count):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            estimate(inst, count)

@@ -1,4 +1,5 @@
-"""Every name a kernsense module or test module imports is used there.
+"""Every name a kernsense module or test module imports is used there,
+and `import kernsense` loads only the library's core modules.
 
 A stdlib-ast stand-in for a linter's unused-import rule.  The package's
 __init__.py is exempt (its imports are the re-exports), and so are
@@ -8,6 +9,9 @@ entry of __all__.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +56,16 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_import_loads_only_the_library_core():
+    # `import kernsense` compiles and runs every module it loads, in every
+    # fresh interpreter; bounds, cli and verify load only when asked for.
+    code = ("import sys, kernsense; print(' '.join(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'kernsense')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["kernsense", "kernsense.empirics", "kernsense.losses",
+                   "kernsense.model", "kernsense.optimize"]

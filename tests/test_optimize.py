@@ -313,8 +313,9 @@ def test_bare_solve_is_the_plain_loop(n, r, m, draw):
        seed=st.integers(0, 2 ** 16), iters=st.integers(1, 40))
 def test_bare_mse_value_within_its_bound(n, r, m, scale, seed, iters):
     # The normal-equations value carries an absolute rounding error that
-    # losses._mse_normal bounds by (m + 2k + 2) u (||b|| + || |A|(|M|) ||)^2;
-    # the draws reach noiseless instances and m < k = n(n+1)/2.
+    # model.normal_products bounds by
+    # (m + 2k + 2) u (||b|| + || |A|(|M|) ||)^2; the draws reach noiseless
+    # instances and m < k = n(n+1)/2.
     r = min(r, n)
     inst = make_instance(n, r, m, (2.0, 1.0)[:r], NoiseModel.gaussian(0.0),
                          seed=seed)
