@@ -221,10 +221,12 @@ def _run_trial(config: SweepConfig, trial: int) -> dict:
     lambda_min are resolved once, on the largest-epsilon instance, and
     reused across the grid.  All cells are solved in one stacked
     gradient_descent call, which applies the trial's operator once per
-    iteration to all running cells.  Then, per epsilon, one estimate_rho
-    and one estimate_lambda12 call cover all losses, on one sample set
-    (its seeds depend on the trial alone), and each loss's bound is
-    computed.
+    iteration to all running cells.  One estimate_rho call covers all
+    losses and epsilons: its sample pairs depend on the trial's seed and
+    ||M*|| alone, so they are drawn and applied once.  Then, per epsilon,
+    one estimate_lambda12 call covers all losses, on one sample set (its
+    seeds depend on the trial alone; its noise magnitudes on ||b||), and
+    each loss's bound is computed.
     """
     inst0, direction, delta = _trial_base(config, trial)
     b_clean = apply_op(inst0.op, inst0.truth.matrix)
@@ -258,13 +260,13 @@ def _run_trial(config: SweepConfig, trial: int) -> dict:
         tuple(insts[eps] for eps, _ in keys),
         tuple(specs[j] for _, j in keys),
         tuple(solvers[j] for _, j in keys))))
-    cells = {}
-    for eps, inst in insts.items():
-        rhos = estimate_rho(specs, inst.op, inst.measurements,
-                            config.const_samples,
+    b_grid = np.stack([inst.measurements for inst in insts.values()])
+    rho_grid = estimate_rho(specs, inst0.op, b_grid, config.const_samples,
                             _trial_seed(config.base_seed, trial, 3),
                             rank=config.r,
-                            scale=float(np.linalg.norm(inst.truth.matrix)))
+                            scale=float(np.linalg.norm(inst0.truth.matrix)))
+    cells = {}
+    for (eps, inst), rhos in zip(insts.items(), rho_grid):
         lams = estimate_lambda12(specs, inst.op, inst.measurements,
                                  inst.truth.matrix,
                                  max(4, config.const_samples // 2),

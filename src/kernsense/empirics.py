@@ -14,19 +14,23 @@
 # skips, and stacks them.  The stack goes through one apply_op, and every
 # gradient difference through one adjoint_op of stacked residual-gradient
 # differences (A* is linear: grad(M) - grad(M') = A*(g(r') - g(r)) for
-# grad(M) = -A*(g(r)), r = b - A(M)); only the residual-space loss work is
-# done sample by sample.  Stacked operator calls give each item the same
-# bits whatever else is in the stack (model._OP_BLOCK), so a sample's value,
-# and with it the monotonicity above, never depends on the sample count.
+# grad(M) = -A*(g(r)), r = b - A(M)); the residual vectors' kernel
+# gradients, Hessian builds and Hessian-vector products go through one
+# stacked kernel call per bandwidth (one fast Gauss transform per chunk of
+# rows).  Stacked operator calls give each item the same bits whatever else
+# is in the stack (model._OP_BLOCK), and so do the stacked kernel calls, so
+# a sample's value, and with it the monotonicity above, never depends on
+# the sample count.
 #
 # The samples depend on the seed, not on the loss, so estimate_rho and
 # estimate_lambda12 also take a tuple of LossSpecs and give one result per
-# spec from one shared sample set: one draw and one stacked apply_op; each
-# residual vector's kernel gradient, Hessian build and Hessian-vector
-# product run once per bandwidth, and the combined loss's quantities are
-# mixed from them by losses._mix, the expression its one-loss functions
-# use.  Each spec keeps its own stacked adjoint_op, so every result equals
-# the spec's own call bit for bit.
+# spec from one shared sample set: one draw and one stacked apply_op, the
+# kernel work once per bandwidth, and the combined loss's quantities mixed
+# from it by losses._mix, the expression its one-loss functions use.  Each
+# spec keeps its own stacked adjoint_op, so every result equals the spec's
+# own call bit for bit.  rho's pairs do not depend on b either, so
+# estimate_rho also takes a stack of measurement vectors (the sweep's
+# epsilon grid) and draws and applies its pairs once for all of them.
 #
 # Every derivative comes from the residual-space core in losses: exact
 # gradients -A*(g) and Hessian forms <A(K), H A(L)> via hvp_residual.  The
@@ -45,8 +49,9 @@ import numpy as np
 
 from .model import (SensingOperator, _derived_seeds, _draws, adjoint_op,
                     apply_op, estimate_rip, random_low_rank_symmetric)
-from .losses import (KERNEL, MSE, LossSpec, _mix, grad_residual, grad_X,
-                     hvp_residual, kernel_row_means, loss_value, residuals)
+from .losses import (KERNEL, MSE, LossSpec, _measurements, _mix,
+                     grad_residual, grad_X, hvp_residual, kernel_row_means,
+                     loss_value, residuals)
 
 __all__ = [
     "ConstantEstimates",
@@ -75,9 +80,8 @@ def _bandwidths(specs) -> dict:
 
 def _kernel_grads(specs, r) -> dict:
     """Kernel residual gradients of the rows of a stack r, stacked, for
-    each bandwidth among specs."""
-    return {h: np.array([grad_residual(k, row) for row in r])
-            for h, k in _bandwidths(specs).items()}
+    each bandwidth among specs: one kernel evaluation per bandwidth."""
+    return {h: grad_residual(k, r) for h, k in _bandwidths(specs).items()}
 
 
 def _residual_grads(spec: LossSpec, r, kernel: dict) -> np.ndarray:
@@ -91,32 +95,41 @@ def _residual_grads(spec: LossSpec, r, kernel: dict) -> np.ndarray:
     return _mix(spec, r, kernel[spec.h])
 
 
-def _grad_gaps(specs, op: SensingOperator, r1, r2):
-    """Per spec, in turn, grad at r1 minus grad at r2, per row of the
-    residual stacks: by linearity of A*, -A*(g(r1)) + A*(g(r2)) =
-    A*(g(r2) - g(r1)), one stacked adjoint per spec.  The kernel gradients
-    are evaluated once per row and bandwidth."""
-    k1, k2 = _kernel_grads(specs, r1), _kernel_grads(specs, r2)
+def _grad_gaps(specs, op: SensingOperator, r):
+    """Per spec, in turn, grad at r1 minus grad at r2 for the residual
+    pairs r[..., 0, :] = r1 and r[..., 1, :] = r2: by linearity of A*,
+    -A*(g(r1)) + A*(g(r2)) = A*(g(r2) - g(r1)), one stacked adjoint per
+    spec.  The kernel gradients of all rows are one evaluation per
+    bandwidth."""
+    k = _kernel_grads(specs, r)
+    k1, k2 = ({h: g[..., i, :] for h, g in k.items()} for i in (0, 1))
     for s in specs:
-        yield adjoint_op(op, _residual_grads(s, r2, k2)
-                         - _residual_grads(s, r1, k1))
+        yield adjoint_op(op, _residual_grads(s, r[..., 1, :], k2)
+                         - _residual_grads(s, r[..., 0, :], k1))
 
 
 def _hess_gaps(specs, r1, r2, ak, al) -> list:
     """Per spec, [Hess L(r1) - Hess L(r2)](K, L) =
-    <A(K), (H(r1) - H(r2)) A(L)>, with one kernel Hessian build and product
-    per residual vector and bandwidth."""
-    kernel = {h: [hvp_residual(k, r, al) for r in (r1, r2)]
-              for h, k in _bandwidths(specs).items()}
+    <A(K), (H(r1) - H(r2)) A(L)>: a float for vectors r1, r2, ak, al, else a
+    list, one per row of those stacks.  The kernel Hessian builds and
+    products of all r1 and r2 rows are one hvp_residual call per
+    bandwidth."""
+    r, v = np.stack((r1, r2)), np.stack((al, al))
+    kernel = {h: hvp_residual(k, r, v) for h, k in _bandwidths(specs).items()}
+    ak = np.reshape(ak, (-1, ak.shape[-1]))
 
-    def products(s):
+    def gaps(s):
         if s.kind == MSE:
-            return [hvp_residual(s, r, al) for r in (r1, r2)]
-        if s.kind == KERNEL:
-            return kernel[s.h]
-        return [_mix(s, al, k, hvp=True) for k in kernel[s.h]]
+            h12 = 2.0 * v               # hvp_residual's H = 2I at every r
+        elif s.kind == KERNEL:
+            h12 = kernel[s.h]
+        else:
+            h12 = _mix(s, v, kernel[s.h], hvp=True)
+        diff = (h12[0] - h12[1]).reshape(ak.shape)
+        out = [float(a @ d) for a, d in zip(ak, diff)]
+        return out[0] if np.ndim(r1) == 1 else out
 
-    return [float(ak @ (h1 - h2)) for h1, h2 in map(products, specs)]
+    return [gaps(s) for s in specs]
 
 
 def _sample_noise_dir(rng, m: int, mag_range) -> np.ndarray:
@@ -140,6 +153,7 @@ def _noise_samples(op: SensingOperator, b, M_base, samples: int, seed: int,
     """Stacks (matrices, w, ||w||) of the zeta estimators' kept samples:
     matrices[i] holds M and then `dirs` directions; samples with ||w|| below
     the guard are skipped.  None when every sample is skipped."""
+    b = _measurements(op, b)
     if mag_range is None:
         mag_range = (1e-3, max(float(np.linalg.norm(b)), 1e-3))
     M_base = np.asarray(M_base, dtype=float)
@@ -173,7 +187,7 @@ def estimate_zeta1(spec: LossSpec, op: SensingOperator, b, M_base,
         return 0.0
     mats, w, nw = stacks
     r = np.asarray(b) - apply_op(op, mats[:, 0])
-    gaps, = _grad_gaps((spec,), op, r + w, r)
+    gaps, = _grad_gaps((spec,), op, np.stack((r + w, r), axis=-2))
     return max(abs(float(np.sum(gap * K))) / norm
                for gap, K, norm in zip(gaps, mats[:, 1], nw))
 
@@ -192,8 +206,8 @@ def estimate_zeta2(spec: LossSpec, op: SensingOperator, b, M_base,
     mats, w, nw = stacks
     a = apply_op(op, mats)                  # rows A(M), A(K), A(L)
     r = np.asarray(b) - a[:, 0]
-    return max(abs(_hess_gaps((spec,), ri + wi, ri, ak, al)[0]) / norm
-               for ri, wi, ak, al, norm in zip(r, w, a[:, 1], a[:, 2], nw))
+    gaps, = _hess_gaps((spec,), r + w, r, a[:, 1], a[:, 2])
+    return max(abs(gap) / norm for gap, norm in zip(gaps, nw))
 
 
 def estimate_rho(spec, op: SensingOperator, b, samples: int, seed: int,
@@ -204,8 +218,12 @@ def estimate_rho(spec, op: SensingOperator, b, samples: int, seed: int,
     separated by a unit-norm rank <= rank step of log-uniform length in
     [1e-3, 1], so no pair is degenerate.  spec is a LossSpec, or a tuple
     of them for one estimate per spec, in order, from one sample set: each
-    gives what it gives alone.
+    gives what it gives alone.  b is one measurement vector, or an (E, m)
+    stack of them for a tuple of E results, one per row, each what that row
+    gives alone: the pairs depend on the seed, rank and scale, not on b, so
+    they are drawn and applied once for all rows.
     """
+    b = _measurements(op, b, stack=True)
     rank = max(1, min(rank, op.n))
 
     def draw(rng):
@@ -216,10 +234,13 @@ def estimate_rho(spec, op: SensingOperator, b, samples: int, seed: int,
         return (M, Mp), np.linalg.norm(M - Mp)
 
     mats, dn = _draws("samples", samples, seed, draw)
-    r = np.asarray(b) - apply_op(op, mats)
-    rho = tuple(max(float(np.linalg.norm(gap)) / d for gap, d in zip(gaps, dn))
-                for gaps in _grad_gaps(_specs(spec), op, r[:, 0], r[:, 1]))
-    return rho if isinstance(spec, tuple) else rho[0]
+    r = b[..., None, None, :] - apply_op(op, mats)      # (E?, samples, 2, m)
+    rho = [tuple(max(float(np.linalg.norm(gap)) / d for gap, d in zip(gaps, dn))
+                 for gaps in _grad_gaps(_specs(spec), op, pairs))
+           for pairs in r.reshape((-1,) + r.shape[-3:])]
+    if not isinstance(spec, tuple):
+        rho = [per_spec[0] for per_spec in rho]
+    return tuple(rho) if b.ndim == 2 else rho[0]
 
 
 def estimate_lambda12(spec, op: SensingOperator, b, M, samples: int,
@@ -231,11 +252,12 @@ def estimate_lambda12(spec, op: SensingOperator, b, M, samples: int,
     (lambda1, lambda2) per spec, in order, from one sample set: each gives
     what it gives alone.
     """
+    b = _measurements(op, b)
     if mag_range is None:
         mag_range = (1e-3, max(float(np.linalg.norm(b)), 1e-3))
     specs = _specs(spec)
     M = np.asarray(M, dtype=float)
-    r = np.asarray(b) - apply_op(op, M)
+    r = b - apply_op(op, M)
     k = max(1, min(op.n, rank))
 
     def draw(rng):
@@ -252,10 +274,9 @@ def estimate_lambda12(spec, op: SensingOperator, b, M, samples: int,
         lam = ((0.0, 0.0),) * len(specs)
     else:
         rw, dirs, dw = stacks
-        grads = _grad_gaps(specs, op, rw[:, 0], rw[:, 1])
+        grads = _grad_gaps(specs, op, rw)
         a = apply_op(op, dirs)                  # rows A(K), A(L)
-        hess = zip(*(_hess_gaps(specs, r1, r2, ak, al)     # per spec
-                     for (r1, r2), (ak, al) in zip(rw, a)))
+        hess = _hess_gaps(specs, rw[:, 0], rw[:, 1], a[:, 0], a[:, 1])
         lam = tuple(
             (max(float(np.linalg.norm(g)) / d for g, d in zip(gaps, dw)),
              max(abs(h) / d for h, d in zip(hs, dw)))

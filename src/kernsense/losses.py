@@ -40,15 +40,25 @@
 # per expansion, pairs more than _FGT_REACH = 6 bandwidths apart dropped
 # (each such weight is below exp(-36) = 2.3e-16).  The threshold lies
 # above the measured crossover, near m = 180 on a 2-vCPU Xeon.  Both
-# providers take the residuals sorted ascending: _kernel, _kernel_hessian
-# and kernel_row_means sort r once, evaluate everything in that order and
-# put the results back in input order once (each HVP permutes v in and
-# H v out), so the results depend on the residuals' values, not on their
-# order.  Measured on that Xeon (student-t residuals of norm 0.9, h = 0.5,
-# best of 15 x 50 calls), the fast path takes ~0.26 ms per value and
-# gradient at m = 1200 and ~0.6 ms at m = 4000 (value only ~0.19 / 0.48 ms,
-# one HVP ~0.17 / 0.40 ms); the dense one takes ~200 ms and 256 MB at
-# m = 4000.  Property tests hold the fast path to the dense one: relative
+# providers take a stack of residual rows (s, m), or one row, each sorted
+# ascending: _kernel, _kernel_hessian and kernel_row_means sort each row
+# once, evaluate everything in that order and put the results back in
+# input order once (each HVP permutes v in and H v out), so the results
+# depend on the residuals' values, not on their order.  A one-row call is
+# the stack of one.  The fast path lays a stack's rows end to end in one
+# transform in which every row start is a forced cluster cut and tie-group
+# boundary, and gives each row the bits it gets alone, whatever its
+# neighbours, position or stack height (_fgt_transform says how); the dense
+# path builds each row's tables in turn.  A stack goes through in chunks of
+# whole rows of at most _FGT_CHUNK = 4096 residuals, each chunk's tables
+# freed before the next is built (a chunk's power table takes 0.75 MB).
+# Measured on that Xeon (student-t residuals of norm 0.9, h = 0.5, best of
+# 25 x 50 calls), the fast path takes ~0.24 ms per value and gradient at
+# m = 1200 and ~0.45 ms at m = 4000 (value only ~0.16 / 0.24 ms, a Hessian
+# build and one HVP ~0.4 / 0.75 ms), and a stack of 6 rows at m = 1200 (two
+# chunks) takes ~0.55x (value and gradient) and ~0.7x (Hessian build and
+# HVP) the time of 6 one-row calls; the dense path takes ~200 ms and
+# 256 MB at m = 4000.  Property tests hold the fast path to the dense one: relative
 # error <= 1e-12 on the value, <= 1e-10 on the gradient and HVP norms,
 # zero-sum gradient and HVP.  The exponentially
 # small gradients of widely spread, nearly flat residuals (criterion 3
@@ -103,6 +113,14 @@ _FGT_TERMS = 24
 # Boxes are h/2 wide: pairs within _FGT_REACH * h lie at most this many
 # boxes apart.
 _FGT_REACH_BOXES = int(2 * _FGT_REACH) + 1
+# Residuals per transform: a stack of rows is evaluated in chunks of whole
+# rows holding at most this many (one row at least), which bounds a chunk's
+# (p, points) power table to 0.75 MB.
+_FGT_CHUNK = 1 << 12
+# Columns (boxes) per translation product at most; see _fgt_transform.
+_FGT_GEMM_BOXES = 64
+# Points of sparse boxes per reduction and evaluation step of a transform.
+_FGT_BLOCK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -141,30 +159,51 @@ class LossSpec:
         return cls(COMBINED, h=float(h), lambda_mix=float(lambda_mix))
 
 
+def _measurements(op: SensingOperator, b, stack: bool = False) -> np.ndarray:
+    """b as an array: one length-m measurement vector or, with stack, also
+    a non-empty (E, m) stack of them; ValueError otherwise, as numpy would
+    broadcast a scalar or a length-1 b without a word."""
+    b = np.asarray(b)
+    if b.shape != (op.m,) and not (stack and b.ndim == 2 and len(b)
+                                   and b.shape[1] == op.m):
+        raise ValueError(f"b must have length {op.m}, got {b.shape}")
+    return b
+
+
 def residuals(op: SensingOperator, b: np.ndarray, X: np.ndarray) -> np.ndarray:
     """r = b - A(X X^T)."""
     X = np.asarray(X)
     if X.ndim != 2 or X.shape[0] != op.n:
         raise ValueError(f"X must be {op.n} x r, got {X.shape}")
-    b = np.asarray(b)
-    if b.shape != (op.m,):
-        raise ValueError(f"b must have length {op.m}, got {b.shape}")
-    return b - apply_op(op, X @ X.T)
+    return _measurements(op, b) - apply_op(op, X @ X.T)
 
 
 # ---------------------------------------------------------------------------
 # Kernel Gauss sums and the kernel derivatives built on them
 # ---------------------------------------------------------------------------
 
+def _row_chunks(rows: int, m: int) -> list:
+    """Slices of whole rows of a (rows, m) stack, each holding at most
+    _FGT_CHUNK residuals (one row at least)."""
+    step = max(1, _FGT_CHUNK // m)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
 def _dense_sums(r: np.ndarray, h: float):
-    """sums(q, ks) -> [S_k[q] for k in ks] (q = None: unit weights; q and
-    the sums in the order of r) from dense m x m tables of E d^k, each
-    built on first use: the small-m path and the fast path's reference.
-    Any order of r works; the kernel entry points pass it sorted, as
-    _fgt_sums requires.  Gaps beyond ~1e154 overflow d^2 to inf,
+    """sums(q, ks) -> [S_k[q] for k in ks] (q = None: unit weights) from
+    dense m x m tables of E d^k, each built on first use: the small-m path
+    and the fast path's reference.  r is one row (m,) or a stack (s, m),
+    evaluated row by row; q has r's shape, and the sums add a leading axis
+    of len(ks).  Any order works; the kernel entry points pass each row
+    sorted, as _fgt_sums requires.  Gaps beyond ~1e154 overflow d^2 to inf,
     so E = 0, and non-finite residuals give NaN; the values are right, so
     the warnings are silenced.
     """
+    if r.ndim > 1:
+        rows = [_dense_sums(row, h) for row in r]
+        return lambda q, ks: np.stack(
+            [row(qi, ks) for row, qi in
+             zip(rows, [None] * len(rows) if q is None else q)], axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.subtract(r[None, :], r[:, None])
         e = np.square(d)
@@ -184,8 +223,9 @@ def _dense_sums(r: np.ndarray, h: float):
 
 
 @functools.cache
-def _fgt_translations() -> np.ndarray:
-    """Translation matrices of the fast Gauss sums, one per box offset k.
+def _fgt_translations() -> tuple:
+    """Translation matrices of the fast Gauss sums, one per box offset k,
+    for y^j exp(-y^2), j = 0, 1, 2: (p, (2 _FGT_REACH_BOXES + 1) p) each.
 
     For boxes of width h/2, a source at box-centred offset s (in box
     widths) and a target at offset t in a box k boxes away lie
@@ -194,9 +234,9 @@ def _fgt_translations() -> np.ndarray:
     c_(n+1) = -(y0 c_n + c_(n-1)/2)/(n+1); each multiplication by
     y = y0 + u/2 maps coefficients a_n to y0 a_n + a_(n-1)/2 (once for
     y exp(-y^2), twice for y^2 exp(-y^2)).  (s - t)^n is expanded
-    binomially, up to total degree p - 1 (p = _FGT_TERMS).  Row
-    (k + _FGT_REACH_BOXES) p + a holds the coefficients of s^a t^b, for
-    y^j exp(-y^2) in column j p + b.  Built on first use, not at import.
+    binomially, up to total degree p - 1 (p = _FGT_TERMS).  Matrix j holds
+    the coefficient of s^a t^b in y^j exp(-y^2) at row b, column
+    (k + _FGT_REACH_BOXES) p + a.  Built on first use, not at import.
     """
     p = _FGT_TERMS
     y0 = 0.5 * np.arange(-_FGT_REACH_BOXES, _FGT_REACH_BOXES + 1)
@@ -217,174 +257,321 @@ def _fgt_translations() -> np.ndarray:
     tr = np.concatenate([blk[:, 1:][:, deg] * mix for blk in blocks], axis=2)
     tr = tr.reshape(-1, 3 * p)
     tr.flags.writeable = False           # shared by every caller
-    return tr
+    return tuple(tr.T[j * p:(j + 1) * p] for j in range(3))
 
 
 def _fgt_sums(r: np.ndarray, h: float):
-    """Gauss sums S_0, S_1, S_2 in O(m) by a box-wise fast Gauss transform,
-    with the interface of _dense_sums (its reference).
+    """Gauss sums S_0, S_1, S_2 by a box-wise fast Gauss transform, in O(m)
+    per row, with the interface of _dense_sums (its reference).
 
-    r must be sorted ascending (NaN last, as np.sort leaves it); q and the
-    sums are in that order.  Ties are collapsed first: the transform runs
-    on the distinct values, each carrying the summed weights of its ties
-    (unit weights become multiplicities), and every tie gets its value's
-    sums.  BLAS may round two equal columns of a product differently at
-    different positions, so this is what gives tied residuals equal sums
-    whatever their order.  The residuals are cut into clusters wherever
-    a gap exceeds the reach, and each cluster into boxes of width h/2, the
-    first centred on the cluster's minimum, so a far outlier neither blurs
-    the offsets nor overflows the box numbers; only occupied boxes are
-    kept, and the points of a box are contiguous.  Per box, the moments
-    sum_j q_j s_j^a of the box-centred offsets s_j (in box widths) are
-    carried to every box within the reach by the matrices of
-    _fgt_translations, which depend on the box offset alone, and evaluated
-    at the targets' own offsets; only the blocks k in ks are formed.  A
-    cluster of equal residuals sits at offset 0, where the expansions reduce
-    to their constant terms, so its odd sums are exactly 0.  The (p, m)
-    table of powers s^a is built row by row, each row the previous one
-    times s: np.vander's products, in its order.  A box of at least 2p
-    points is dense: its moments are one matrix-vector product with the
-    weights (with ones for unit weights), and its sums one
-    (len(ks), p) x (p, points) matrix product.  The sparse boxes go
-    together through np.add.reduceat and one einsum over their points, as
-    a product per box costs more than it saves on small boxes.
-    Non-finite residuals give NaN sums.  Measured on a 2-vCPU Xeon (best
-    of 15 x 50 calls, h = 0.5) on student-t residuals of norm 0.9, which
-    fill 4 boxes, at m = 1200 (m = 4000): set-up ~106 us (195 us), one
-    sums call with q = None and ks = (0, 1) ~50 us (76 us), with weights q
-    and ks = (1,) ~38 us (64 us).  Unscaled, in 75 boxes (109), 10 (19) of
-    them dense: set-up ~145 us (268 us), the two calls ~293 us (461 us)
-    and ~224 us (375 us).
+    Each row of r must be sorted ascending (NaN last, as np.sort leaves
+    it).  A row holding a non-finite residual gets NaN sums; the other rows
+    go end to end through one transform (_fgt_transform) in which every
+    row start is a forced cluster start and tie-group boundary, so no
+    translation and no tie collapse crosses rows, and each row's sums are
+    the same bits whatever the rows beside it.
     """
-    m = r.size
-    if not (math.isfinite(r[0]) and math.isfinite(r[-1])):
-        return lambda q, ks: np.full((len(ks), m), math.nan)
-    gap = np.diff(r)
+    m = r.shape[-1]
+    rows = r.reshape(-1, m)
+    if all(map(math.isfinite, rows[:, ::max(m - 1, 1)].ravel().tolist())):
+        return _fgt_transform(rows.reshape(-1), np.arange(0, rows.size, m), h,
+                              r.shape)
+    ok = np.isfinite(rows[:, 0]) & np.isfinite(rows[:, -1])
+    inner = _fgt_sums(rows[ok], h) if ok.any() else None
+
+    def sums(q, ks):
+        out = np.full((len(ks),) + rows.shape, math.nan)
+        if inner is not None:
+            out[:, ok] = inner(None if q is None else q.reshape(rows.shape)[ok],
+                               ks)
+        return out.reshape((len(ks),) + r.shape)
+
+    return sums
+
+
+def _fgt_transform(x: np.ndarray, cuts: np.ndarray, h: float, shape):
+    """sums(q, ks) of _fgt_sums for rows laid end to end in x, each sorted
+    and finite, starting at the indices cuts; q has the given shape (of
+    x.size entries), and the sums add a leading axis of len(ks).
+
+    Ties are collapsed first: the transform runs on the distinct values of
+    each row, each carrying the summed weights of its ties (unit weights
+    become multiplicities), and every tie gets its value's sums.  BLAS may
+    round two equal columns of a product differently at different
+    positions, so this is what gives tied residuals equal sums whatever
+    their order.  Each row is cut into clusters wherever a gap exceeds the
+    reach, and each cluster into boxes of width h/2, the first centred on
+    the cluster's minimum, so a far outlier neither blurs the offsets nor
+    overflows the box numbers; only occupied boxes are kept, and the
+    points of a box are contiguous.  Per box, the moments sum_j q_j s_j^a
+    of the box-centred offsets s_j (in box widths) are carried to every box
+    within the reach by the matrices of _fgt_translations, which depend on
+    the box offset alone, and evaluated at the targets' own offsets; only
+    the blocks k in ks are formed.  A cluster of equal residuals sits at
+    offset 0, where the expansions reduce to their constant terms, so its
+    odd sums are exactly 0.  The (p, m) table of powers s^a is built row by
+    row, each row the previous one times s: np.vander's products, in its
+    order.  A box of at least 2p points is dense: its moments are one
+    matrix-vector product with the weights (with ones for unit weights),
+    and its sums one (len(ks), p) x (p, points) matrix product.  The sparse
+    boxes go together through np.add.reduceat and one einsum over their
+    points (in groups, _fgt_groups), as a product per box costs more than
+    it saves on small boxes.
+
+    A row in a stack is rounded as it is alone.  Every step but the
+    translations and the sparse boxes' einsum is elementwise, or a
+    reduction over one box or tie group.  einsum's order of summation
+    follows its operands' layout, so the sparse points of a row that also
+    holds a dense box are gathered (point-major), and those of the other
+    rows are read in place, as each row lays them out alone.  The
+    translation of a row of one box is a GEMV, and that of a row of more
+    than _FGT_GEMM_BOXES boxes one GEMM, both as without other rows; the
+    other rows' boxes are packed into GEMMs of at most _FGT_GEMM_BOXES
+    columns (_fgt_columns).  At those widths OpenBLAS 0.3 computed every
+    column with the same bits whatever the columns beside it, on AVX-512
+    through its small-matrix kernel; wider products take another kernel.
+    """
+    n = x.size
+    gap = np.diff(x)
     if not gap.all():
         distinct = np.append(True, gap != 0)
-        first = np.flatnonzero(distinct)
-        mult = np.diff(np.append(first, m)).astype(float)
-        inner = _fgt_sums(r[first], h)
-        group = np.cumsum(distinct) - 1
-        return lambda q, ks: inner(
-            mult if q is None else np.add.reduceat(q, first), ks)[:, group]
+        distinct[cuts] = True
+        if not distinct.all():
+            first = np.flatnonzero(distinct)
+            mult = np.diff(np.append(first, n)).astype(float)
+            inner = _fgt_transform(x[first], np.searchsorted(first, cuts), h,
+                                   first.shape)
+            group = np.cumsum(distinct) - 1
+            return lambda q, ks: inner(
+                mult if q is None else np.add.reduceat(q.reshape(-1), first),
+                ks)[:, group].reshape((len(ks),) + shape)
     p, reach = _FGT_TERMS, _FGT_REACH_BOXES
-    trt = _fgt_translations().T
+    trt = _fgt_translations()
     new = np.concatenate(([True], gap > _FGT_REACH * h))
-    cluster = np.cumsum(new) - 1
-    x = (r - r[new][cluster]) / (0.5 * h)
+    new[cuts] = True
+    heads = np.flatnonzero(new)                         # cluster starts
+    if heads.size == 1:
+        x = (x - x[0]) / (0.5 * h)
+    else:
+        sizes = np.diff(np.append(heads, n))
+        x = (x - np.repeat(x[heads], sizes)) / (0.5 * h)
     box = np.floor(x + 0.5)
     s = x - box                                         # in [-1/2, 1/2]
     box = box.astype(np.int64)
     # Shift each cluster's box numbers past the previous cluster's last box
     # by more than the reach, so no translation crosses a cluster gap.
-    span = box[np.flatnonzero(np.append(new[1:], True))] + reach + 1
-    box += (np.cumsum(span) - span)[cluster]
+    if heads.size > 1:
+        span = box[heads[1:] - 1] + reach + 1
+        box[heads[1]:] += np.repeat(np.cumsum(span), sizes[1:])
     starts = np.flatnonzero(np.concatenate(([True], box[1:] != box[:-1])))
     occupied = box[starts]
-    counts = np.diff(np.append(starts, m))         # points per occupied box
+    counts = np.diff(np.append(starts, n))         # points per occupied box
     # Source box of every (target box, offset) pair; missing boxes point at
     # a zero row appended to the moments.
     want = occupied[:, None] + np.arange(-reach, reach + 1)
     near = np.searchsorted(occupied, want)
     near[occupied[np.minimum(near, occupied.size - 1)] != want] = occupied.size
-    powers = np.empty((p, m))
+    width = len(near)
+    row_box = np.searchsorted(starts, cuts).tolist() + [width]
+    cols = _fgt_columns(row_box)
+    powers = np.empty((p, n))
     powers[0] = 1.0
     for a in range(1, p):
         np.multiply(powers[a - 1], s, out=powers[a])
     sparse = counts < 2 * p
-    blocks = [(j, slice(starts[j], starts[j] + counts[j]))
-              for j in np.flatnonzero(~sparse).tolist()]
-    few = np.flatnonzero(sparse)
-    few_pts = (np.flatnonzero(np.repeat(sparse, counts)) if blocks
-               else slice(None))
-    few_powers = powers[:, few_pts]
-    few_box = np.repeat(few, counts[few])
-    few_starts = np.cumsum(counts[few]) - counts[few]
+    dense = np.flatnonzero(~sparse)
+    blocks = [(j, slice(a, a + c)) for j, a, c in zip(
+        dense.tolist(), starts[dense].tolist(), counts[dense].tolist())]
+    # The sparse boxes of a row that also holds a dense box go through
+    # their points gathered (point-major), those of the other rows through
+    # their points in place, as each row goes alone: einsum's order of
+    # summation follows its operands' layout.
+    mixed = np.logical_or.reduceat(~sparse, row_box[:-1])
+    gather = sparse if mixed.all() else sparse & np.repeat(
+        mixed, np.diff(row_box))
+    pts = np.flatnonzero(np.repeat(gather, counts))
+    groups = _fgt_groups(np.flatnonzero(gather), counts, pts, powers[:, pts])
+    runs = []                   # consecutive rows without a dense box
+    for i in np.flatnonzero(~mixed).tolist():
+        if runs and runs[-1][1] == row_box[i]:
+            runs[-1][1] = row_box[i + 1]
+        else:
+            runs.append([row_box[i], row_box[i + 1]])
+    for b0, b1 in runs:
+        c = slice(starts[b0], starts[b1] if b1 < starts.size else n)
+        groups += _fgt_groups(np.arange(b0, b1), counts, c, powers[:, c])
     moments = np.zeros((occupied.size + 1, p))
-    ones = np.ones(m)
+    ones = np.ones(n)
+    h_powers = np.power(h, (0, 1, 2))
 
     def sums(q, ks):
+        if q is not None:
+            q = q.reshape(-1)
+        for boxes, c, at, fp, _ in groups:
+            weighted = fp if q is None else fp * q[c]
+            moments[boxes] = np.add.reduceat(weighted, at, axis=1).T
         w = ones if q is None else q
-        if few.size:
-            weighted = few_powers if q is None else few_powers * q[few_pts]
-            moments[few] = np.add.reduceat(weighted, few_starts, axis=1).T
         for j, c in blocks:
             moments[j] = powers[:, c] @ w[c]
-        gathered = moments[near].reshape(occupied.size, -1).T
-        local = np.empty((len(ks), p, occupied.size))
+        gathered = moments[near].reshape(width, -1).T
+        local = np.empty((len(ks), p, width))
         for i, k in enumerate(ks):
-            np.matmul(trt[k * p:(k + 1) * p], gathered, out=local[i])
-        # d^k = (h y)^k, and the translations hold the coefficients in y.
-        local *= np.power(h, ks)[:, None, None]
-        out = np.empty((len(ks), m))
-        if few.size:
-            out[:, few_pts] = np.einsum("kbj,bj->kj", local[:, :, few_box],
-                                        few_powers)
+            if len(cols) == 1:                  # one product, no views
+                np.matmul(trt[k], gathered, out=local[i])
+            else:
+                for c in cols:
+                    np.matmul(trt[k], gathered[:, c], out=local[i, :, c])
+            # d^k = (h y)^k, and the translations hold the coefficients in
+            # y (h^0 = 1 needs no product).
+            if k:
+                local[i] *= h_powers[k]
+        out = np.empty((len(ks), n))
+        for _, c, _, fp, box in groups:
+            out[:, c] = np.einsum("kbj,bj->kj", local[:, :, box], fp)
         for j, c in blocks:
             np.matmul(local[:, :, j], powers[:, c], out=out[:, c])
-        return out
+        return out.reshape((len(ks),) + shape)
 
     return sums
 
 
-def _gauss_sums(r: np.ndarray, h: float):
-    """Dense sums below _FGT_MIN_M residuals, the fast transform from there."""
-    return (_fgt_sums if r.size >= _FGT_MIN_M else _dense_sums)(r, h)
+def _fgt_columns(row_box: list) -> list:
+    """Column ranges of _fgt_transform's translation products, for rows
+    whose boxes start at row_box (and end at row_box[-1]): a row of one box
+    (a GEMV) or of more than _FGT_GEMM_BOXES boxes is one product alone, as
+    without other rows, and the other rows' boxes are packed into products
+    of at most _FGT_GEMM_BOXES columns."""
+    spans = []
+    for b0, b1 in zip(row_box, row_box[1:]):
+        packed = 1 < b1 - b0 <= _FGT_GEMM_BOXES
+        if spans and spans[-1][2] and packed and (
+                b1 - spans[-1][0] <= _FGT_GEMM_BOXES):
+            spans[-1][1] = b1
+        else:
+            spans.append([b0, b1, packed])
+    return [slice(b0, b1) for b0, b1, _ in spans]
 
 
-def _unsort(x: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """x computed on r[order], put back in the input order of r."""
-    out = np.empty_like(x)
-    out[order] = x
+def _fgt_groups(boxes, counts, pts, fp) -> list:
+    """Sparse boxes of _fgt_transform in groups of whole boxes of about
+    _FGT_BLOCK points, which bounds a sums call's per-point temporaries:
+    (boxes, points, segment starts, powers, box of each point) per group.
+    The points of the boxes (of counts[boxes] each) lie at pts (indices, or
+    a slice) of the transform and at the columns of the power table fp, in
+    order."""
+    if not boxes.size:
+        return []
+    counts = counts[boxes]
+    at = np.cumsum(counts) - counts
+    box = np.repeat(boxes, counts)
+    if box.size <= _FGT_BLOCK:
+        return [(boxes, pts, at, fp, box)]
+    b_edges = [0] + (np.flatnonzero(np.diff(at // _FGT_BLOCK)) + 1).tolist()
+    p_edges = at[b_edges].tolist() + [box.size]
+    b_edges.append(boxes.size)
+    out = []
+    for b0, b1, p0, p1 in zip(b_edges, b_edges[1:], p_edges, p_edges[1:]):
+        c = (slice(pts.start + p0, pts.start + p1) if isinstance(pts, slice)
+             else pts[p0:p1])
+        out.append((boxes[b0:b1], c, at[b0:b1] - p0, fp[:, p0:p1],
+                    box[p0:p1]))
     return out
 
 
-def _kernel(r: np.ndarray, h: float, grad: bool, provider=_gauss_sums):
+def _gauss_sums(r: np.ndarray, h: float):
+    """Dense sums below _FGT_MIN_M residuals per row, the fast transform
+    from there."""
+    return (_fgt_sums if r.shape[-1] >= _FGT_MIN_M else _dense_sums)(r, h)
+
+
+def _sorted_rows(rows: np.ndarray):
+    """(order, sorted): each row of a stack sorted, and the flat indices of
+    rows.reshape(-1) that give it."""
+    order = np.argsort(rows, axis=1)
+    if len(rows) > 1:
+        order += np.arange(0, rows.size, rows.shape[1])[:, None]
+    return order, rows.reshape(-1)[order]
+
+
+def _unsort(x: np.ndarray, order: np.ndarray, out=None) -> np.ndarray:
+    """x computed on the sorted rows (_sorted_rows), put back in the input
+    order, into out (contiguous, of x's shape) if given."""
+    out = np.empty(x.shape) if out is None else out
+    out.reshape(-1)[order] = x
+    return out
+
+
+def _kernel(r: np.ndarray, h: float, grad: bool, provider=None):
     """Kernel value and, if grad, residual gradient g = -c (S_1[q] + q S_1[1])
-    with z = S_0[1]/m, q = 1/z and c = 2/(m^2 h^2).  Evaluated on r sorted
-    once (the providers' contract); the gradient is returned in input order.
+    with z = S_0[1]/m, q = 1/z and c = 2/(m^2 h^2).  r is one residual
+    vector (the value a float) or a stack of them (..., m) (an array of
+    values).  Each row is evaluated sorted (the providers' contract), one
+    provider call per chunk of rows (_row_chunks), each chunk's tables freed
+    before the next is built; the gradient is returned in input order.
+    provider defaults to _gauss_sums.
     """
-    m = r.size
-    order = np.argsort(r)
-    sums = provider(r[order], h)
-    s0, *s1 = sums(None, (0, 1) if grad else (0,))
+    m = r.shape[-1]
+    rows = r.reshape(-1, m)
+    values = np.empty(len(rows))
+    grads = np.empty(rows.shape) if grad else None
+    for chunk in _row_chunks(*rows.shape):
+        values[chunk] = _kernel_chunk(rows[chunk], h, provider or _gauss_sums,
+                                      grads[chunk] if grad else None)
+    return (float(values[0]) if r.ndim == 1 else values.reshape(r.shape[:-1]),
+            grads.reshape(r.shape) if grad else None)
+
+
+def _kernel_chunk(rows: np.ndarray, h: float, provider, grads) -> np.ndarray:
+    """_kernel's values of a stack of rows in one provider call, and their
+    gradients into grads unless it is None."""
+    m = rows.shape[1]
+    if grads is None:                     # the value needs no order
+        sums = provider(np.sort(rows, axis=1), h)
+        s0, = sums(None, (0,))
+    else:
+        order, part = _sorted_rows(rows)
+        sums = provider(part, h)
+        s0, s1 = sums(None, (0, 1))
     z = s0 / m                            # z_i >= 1/m since E_ii = 1
-    value = float(-np.log(z).mean())
-    if not grad:
-        return value, None
-    q = 1.0 / z
-    g = (-2.0 / (m * m * h * h)) * (sums(q, (1,))[0] + q * s1[0])
-    return value, _unsort(g, order)
+    if grads is not None:
+        q = 1.0 / z
+        g = (-2.0 / (m * m * h * h)) * (sums(q, (1,))[0] + q * s1)
+        _unsort(g, order, grads)
+    return -np.log(z).sum(axis=1) / m               # the rows' means
 
 
-def _kernel_hessian(r: np.ndarray, h: float, provider=_gauss_sums):
+def _kernel_hessian(r: np.ndarray, h: float, provider=None):
     """v -> H v for the kernel loss at r, the derivative of _kernel's
-    gradient along v.  With d'_ij = v_j - v_i, E'_ij = -(2/h^2) d_ij d'_ij E_ij:
+    gradient along v, for one residual vector or at each row of a stack
+    (v of r's shape).  With d'_ij = v_j - v_i,
+    E'_ij = -(2/h^2) d_ij d'_ij E_ij:
       z'       = -(2/(m h^2)) (S_1[v] - v S_1[1]),   q' = -q^2 z'
       S_1[1]'  = S_0[v] - v S_0[1] - (2/h^2) (S_2[v] - v S_2[1])
       S_1[q]'  = S_1[q'] + S_0[qv] - v S_0[q] - (2/h^2) (S_2[qv] - v S_2[q])
       H v      = -c (S_1[q]' + q' S_1[1] + q S_1[1]')
-    r is sorted once; sums with weights 1 and q are formed once per r, in
-    sorted order.  Each product permutes v in and H v out once, and needs
-    weights v, qv and q' (q' after S_1[v]).
+    Each row is sorted once, and sums with weights 1 and q are formed once
+    per r, in one provider call for all rows (for bounded memory, products
+    at a long stack go through hvp_residual, which builds by chunks).  Each
+    product permutes v in and H v out once, and needs weights v, qv and q'
+    (q' after S_1[v]).
     """
-    m = r.size
-    order = np.argsort(r)
-    sums = provider(r[order], h)
+    m = r.shape[-1]
+    order, rs = _sorted_rows(r.reshape(-1, m))
+    sums = (provider or _gauss_sums)(rs, h)
     one = sums(None, (0, 1, 2))
     q = m / one[0]
     sq0, sq2 = sums(q, (0, 2))
     c, k = 2.0 / (m * m * h * h), 2.0 / (h * h)
 
     def hvp(v):
-        v = v[order]
+        v = v.reshape(-1)[order]
         sv = sums(v, (0, 1, 2))
         qdot = (q * q) * (k / m) * (sv[1] - v * one[1])
         sqv0, sqv2 = sums(q * v, (0, 2))
         d_one = sv[0] - v * one[0] - k * (sv[2] - v * one[2])
         d_q = sums(qdot, (1,))[0] + sqv0 - v * sq0 - k * (sqv2 - v * sq2)
-        return _unsort(-c * (d_q + qdot * one[1] + q * d_one), order)
+        return _unsort(-c * (d_q + qdot * one[1] + q * d_one),
+                       order).reshape(r.shape)
 
     return hvp
 
@@ -410,21 +597,51 @@ def _mix(spec: LossSpec, x: np.ndarray, kernel_part: np.ndarray,
     return mse + (1.0 - lam) * kernel_part
 
 
+def _loss_rows(specs, R: np.ndarray, grad: bool):
+    """Values (an array) and, if grad, residual gradients (a stack, else
+    None) of specs[i] at row i of the stack R, with one kernel evaluation
+    per bandwidth for all the rows that need it."""
+    kernel_rows = {}
+    for i, spec in enumerate(specs):
+        if spec.kind != MSE:
+            kernel_rows.setdefault(spec.h, []).append(i)
+    if [list(range(len(R)))] == list(kernel_rows.values()):
+        values, G = _kernel(R, specs[0].h, grad)
+    else:
+        values, G = np.empty(len(R)), np.empty(R.shape) if grad else None
+        for h, rows in kernel_rows.items():
+            values[rows], kg = _kernel(R[rows], h, grad)
+            if grad:
+                G[rows] = kg
+    for i, (spec, r) in enumerate(zip(specs, R)):
+        if spec.kind == MSE:
+            values[i] = 0.5 * float(r @ r)
+            if grad:
+                G[i] = r
+        elif spec.kind == COMBINED:
+            lam = spec.lambda_mix
+            values[i] = lam * (float(r @ r) / r.size) + (1.0 - lam) * values[i]
+            if grad:
+                G[i] = _mix(spec, r, G[i])
+    return values, G
+
+
 def _value_and_grad(spec: LossSpec, r: np.ndarray, grad: bool):
-    """Loss value and, if grad, residual gradient (else None)."""
+    """Loss value and, if grad, residual gradient (else None), for one
+    residual vector (the value a float) or each row of a stack (..., m)."""
     r = np.asarray(r, dtype=float)
-    if spec.kind == MSE:
-        return 0.5 * float(r @ r), r.copy() if grad else None
-    kv, kg = _kernel(r, spec.h, grad)
     if spec.kind == KERNEL:
-        return kv, kg
-    lam = spec.lambda_mix
-    return (lam * (float(r @ r) / r.size) + (1.0 - lam) * kv,
-            _mix(spec, r, kg) if grad else None)
+        return _kernel(r, spec.h, grad)
+    rows = r.reshape(-1, r.shape[-1])
+    values, G = _loss_rows((spec,) * len(rows), rows, grad)
+    if r.ndim == 1:
+        return float(values[0]), G[0] if grad else None
+    return values.reshape(r.shape[:-1]), G.reshape(r.shape) if grad else None
 
 
-def loss_value(spec: LossSpec, r: np.ndarray) -> float:
-    """Loss evaluated on a residual vector."""
+def loss_value(spec: LossSpec, r: np.ndarray):
+    """Loss evaluated on a residual vector (a float), or on each row of a
+    stack of them (an array)."""
     return _value_and_grad(spec, r, grad=False)[0]
 
 
@@ -433,12 +650,14 @@ def kernel_row_means(r: np.ndarray, h: float) -> np.ndarray:
     estimate at each residual (O(m) from _FGT_MIN_M residuals on)."""
     h = LossSpec.kernel(h).h              # rejects h <= 0 and non-finite h
     r = np.asarray(r, dtype=float)
-    order = np.argsort(r)
-    return _unsort(_gauss_sums(r[order], h)(None, (0,))[0] / r.size, order)
+    order, rs = _sorted_rows(r.reshape(1, -1))
+    return _unsort(_gauss_sums(rs, h)(None, (0,))[0] / r.size,
+                   order).reshape(r.shape)
 
 
 def grad_residual(spec: LossSpec, r: np.ndarray) -> np.ndarray:
-    """dL/dr for the chosen loss.
+    """dL/dr for the chosen loss, at one residual vector or at each row of
+    a stack of them.
 
     It is also the gradient with respect to the noise vector w: b carries
     w additively and r = b - A(M), so dL/dw = dL/dr.  The kernel gradient's
@@ -465,7 +684,9 @@ def _residual_hessian(spec: LossSpec, r: np.ndarray):
 
 
 def hvp_residual(spec: LossSpec, r: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Residual-space Hessian-vector product H v at r.
+    """Residual-space Hessian-vector product H v at r, for one residual
+    vector or at each row of a stack along the same row of v: one Hessian
+    build and product per chunk of rows (_row_chunks).
 
     Kernel and combined (lam (2/m) I + (1 - lam) H_kernel): the exact
     directional derivative of grad_residual along v.  MSE: H = 2I, the
@@ -478,7 +699,11 @@ def hvp_residual(spec: LossSpec, r: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != r.shape:
         raise ValueError(f"v must have shape {r.shape}, got {v.shape}")
-    return _residual_hessian(spec, r)(v)
+    rows, vs = r.reshape(-1, r.shape[-1]), v.reshape(-1, r.shape[-1])
+    out = np.empty(rows.shape)
+    for c in _row_chunks(*rows.shape):
+        out[c] = _residual_hessian(spec, rows[c])(vs[c])
+    return out.reshape(r.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +716,7 @@ def grad_M(spec: LossSpec, op: SensingOperator, b: np.ndarray,
     M = np.asarray(M)
     if M.shape != (op.n, op.n):
         raise ValueError(f"M must be {op.n} x {op.n}, got {M.shape}")
-    r = np.asarray(b) - apply_op(op, M)
+    r = _measurements(op, b) - apply_op(op, M)
     return -adjoint_op(op, grad_residual(spec, r))
 
 
@@ -510,7 +735,7 @@ def _curvature(spec: LossSpec, op: SensingOperator, b, M, K):
     if not np.linalg.norm(K) > 0:
         raise ValueError("K must be nonzero")
     ak = apply_op(op, K)
-    return ak, hvp_residual(spec, np.asarray(b) - apply_op(op, M), ak)
+    return ak, hvp_residual(spec, _measurements(op, b) - apply_op(op, M), ak)
 
 
 def hessian_quadratic_form(spec: LossSpec, op: SensingOperator, b: np.ndarray,
@@ -552,12 +777,13 @@ def lambda_min_hessian(spec: LossSpec, op: SensingOperator, b: np.ndarray,
     A non-finite product gives value NaN with converged=False.
     """
     _check_count("iters", iters)
+    b = _measurements(op, b)
     rng = np.random.default_rng(seed)
     n = op.n
     v = rng.standard_normal((n, n))
     v = 0.5 * (v + v.T)
 
-    hess = _residual_hessian(spec, np.asarray(b) - apply_op(op, M))
+    hess = _residual_hessian(spec, b - apply_op(op, M))
     steps = min(iters, n * (n + 1) // 2)
     basis = np.empty((steps + 1, n * n))
     basis[0] = (v / np.linalg.norm(v)).ravel()

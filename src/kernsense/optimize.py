@@ -20,7 +20,9 @@
 # m = 4000, 2000 and 1200.
 # Tuples keep the residual form, where MSE rows ride the operator blocks
 # that the other rows pay for, and a problem's bits must not depend on
-# what it is stacked with.
+# what it is stacked with.  Their kernel rows go through one fast Gauss
+# transform per bandwidth and evaluation (losses._loss_rows), which gives
+# each row the bits it gets alone.
 
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from .empirics import estimate_rho
 from .model import (ProblemInstance, SensingOperator, _check_count,
                     _derived_seeds, adjoint_op, apply_op, estimate_rip,
                     normal_products)
-from .losses import KERNEL, MSE, LossSpec, loss_and_grad_residual
+from .losses import KERNEL, MSE, LossSpec, _loss_rows, _measurements
 
 __all__ = [
     "ETA_SELECTORS",
@@ -224,7 +226,7 @@ def spectral_init(op: SensingOperator, b: np.ndarray, r: int) -> np.ndarray:
     Standard matrix-sensing initialization; the convergence theory assumes
     a point inside a basin without providing one.
     """
-    vals, vecs = np.linalg.eigh(adjoint_op(op, np.asarray(b)))
+    vals, vecs = np.linalg.eigh(adjoint_op(op, _measurements(op, b)))
     idx = np.argsort(vals)[::-1][:r]
     lam = np.clip(vals[idx], 0.0, None)
     return vecs[:, idx] * np.sqrt(lam)
@@ -293,7 +295,7 @@ class _Descent:
         if not math.isfinite(eta) or eta <= 0:
             raise ValueError(f"step size resolved to {eta}")
         self.spec, self.config, self.eta = spec, config, eta
-        self.b = instance.measurements
+        self.b = _measurements(instance.op, instance.measurements)
         self.M_star = instance.truth.matrix
         self.losses = []
         self.errors = []
@@ -363,12 +365,11 @@ def gradient_descent(instance, spec, config):
             # vector, which BLAS computes as matrix-vector products.
             R = np.stack([run.b for run in active]) - apply_op(
                 op, np.stack(XXt) if stacked else XXt[0])
-            gs = []
-            for run, r in zip(active, R):
-                run.val, g = loss_and_grad_residual(run.spec, r)
-                gs.append(g)
-            grads = -adjoint_op(op, np.stack(gs) if stacked
-                                else gs[0]).reshape(-1, op.n, op.n)
+            vals, G = _loss_rows([run.spec for run in active], R, True)
+            for run, val in zip(active, vals.tolist()):
+                run.val = val
+            grads = -adjoint_op(op, G if stacked
+                                else G[0]).reshape(-1, op.n, op.n)
         for run, M, grad in zip(active, XXt, grads):
             run.losses.append(run.val)
             run.errors.append(float(np.linalg.norm(M - run.M_star)))

@@ -640,6 +640,24 @@ def test_sweep_stacked_solves_match_bare_solves(monkeypatch):
         assert row.bound_error == pytest.approx(ref.bound_error, rel=1e-12)
 
 
+def test_sweep_makes_one_rho_call_per_trial(monkeypatch):
+    # rho's pairs depend on the trial's seed and ||M*|| alone, so one call
+    # covers the whole epsilon grid of a trial.
+    import kernsense.cli as cli
+    calls = []
+    real = cli.estimate_rho
+
+    def counted(spec, op, b, *args, **kwargs):
+        calls.append(np.shape(b))
+        return real(spec, op, b, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_rho", counted)
+    cfg = SweepConfig(n=6, r=2, m=60, eps_grid=(0.3, 0.6, 0.9), trials=2,
+                      max_iters=5, eta=0.01)
+    run_sweep(cfg)
+    assert calls == [(3, 60)] * 2
+
+
 def test_sweep_losses_share_samples_exactly():
     # All losses of a (trial, eps) share one estimator sample set; each
     # loss's rows are still exactly those of a sweep of that loss alone.

@@ -172,6 +172,32 @@ class TestSharedSamples:
             assert gap == float(ak @ (hvp_residual(spec, r[0], al)
                                       - hvp_residual(spec, r[1], al)))
 
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(m=st.sampled_from([60, 2 * _FGT_MIN_M]),
+           seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 4),
+           tuple_spec=st.booleans())
+    def test_rho_of_a_measurement_stack_equals_row_calls(self, m, seed, rows,
+                                                         tuple_spec):
+        # The pairs depend on the seed alone, so one call serves a stack of
+        # measurement vectors, as the sweep's epsilon grid: each row gets
+        # what its own call gives, bit for bit.
+        inst = _shared_instance(m)
+        rng = np.random.default_rng(seed)
+        bs = inst.measurements + rng.standard_normal((rows, m)) * \
+            rng.uniform(0.0, 2.0, (rows, 1))
+        spec = (LossSpec.mse(), LossSpec.kernel(0.6),
+                LossSpec.combined(0.3, 0.9))
+        spec = spec if tuple_spec else spec[1]
+        assert estimate_rho(spec, inst.op, bs, 5, seed, rank=2,
+                            scale=2.0) == tuple(
+            estimate_rho(spec, inst.op, b, 5, seed, rank=2, scale=2.0)
+            for b in bs)
+
+    def test_rho_rejects_a_stack_of_the_wrong_width(self, inst):
+        with pytest.raises(ValueError, match="b must have length 60"):
+            estimate_rho(LossSpec.mse(), inst.op,
+                         np.zeros((3, inst.op.m - 1)), 2, 0)
+
     def test_one_spec_tuple_and_repeats(self, inst):
         op, b, M = inst.op, inst.measurements, inst.truth.matrix
         spec = LossSpec.combined(0.3, 0.8)

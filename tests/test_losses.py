@@ -7,7 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernsense.empirics import _hess_gaps
+import kernsense.losses as losses
+from kernsense.empirics import (_hess_gaps, estimate_lambda12, estimate_rho,
+                                estimate_zeta1, estimate_zeta2,
+                                finite_diff_check)
 from kernsense.losses import (_FGT_MIN_M, _FGT_TERMS, LossSpec, _dense_sums,
                               _fgt_sums, _kernel, _kernel_hessian, grad_M,
                               grad_residual, grad_X, hessian_quadratic_form,
@@ -18,7 +21,7 @@ from kernsense.model import (NoiseModel, SensingOperator, adjoint_op,
                              apply_op, estimate_rip, make_instance,
                              orthonormal_basis_operator,
                              random_low_rank_symmetric)
-from kernsense.optimize import SolverConfig, gradient_descent
+from kernsense.optimize import SolverConfig, gradient_descent, spectral_init
 
 # Frozen by direct scalar evaluation of the pairwise log-sum-exp with m=2,
 # residuals (0, h): both rows give -log((1 + e^-1)/2).
@@ -701,3 +704,156 @@ class TestLambdaMin:
                                  inst.measurements, inst.truth.matrix,
                                  iters=300, seed=2)
         assert res.value >= -1e-8
+
+
+# ---------------------------------------------------------------------------
+# Stacks of residual rows
+# ---------------------------------------------------------------------------
+
+def _stack_rows(data, m, k):
+    """k residual rows of sample_residuals' kinds, some with ties, some
+    equal to an earlier row, some with a far outlier, and at most one with
+    a NaN."""
+    rows = []
+    for i in range(k):
+        if rows and data.draw(st.booleans(), label=f"equal {i}"):
+            rows.append(rows[data.draw(st.integers(0, len(rows) - 1))].copy())
+            continue
+        r = sample_residuals(
+            data.draw(st.sampled_from(["normal", "student_t", "cauchy"])), m,
+            data.draw(st.integers(0, 2**32 - 1), label=f"seed {i}"))
+        edit = data.draw(st.sampled_from(["none", "ties", "outlier"]))
+        if edit == "ties":
+            r = np.round(r, 1)
+        elif edit == "outlier":
+            r[data.draw(st.integers(0, m - 1))] = r.max() + 1e6
+        rows.append(r)
+    if data.draw(st.booleans(), label="nan row"):
+        rows[data.draw(st.integers(0, k - 1))][
+            data.draw(st.integers(0, m - 1))] = math.nan
+    return np.array(rows)
+
+
+def _kernel_rows(R, h, V):
+    """Values, gradients and Hessian-vector products of the rows of R."""
+    v, g = _kernel(R, h, True)
+    return v, g, _kernel_hessian(R, h)(V)
+
+
+class TestStackedRows:
+    """A stack of residual rows goes through one transform (per chunk of
+    rows), in which each row is its own cluster: every row's value,
+    gradient and Hessian product are the bits it gets alone, in any order
+    and at any height, and meet the fast path's tolerances against the
+    dense tables (assert_fast_matches_dense's)."""
+
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(data=st.data(), m=st.integers(_FGT_MIN_M - 60, _FGT_MIN_M + 400),
+           k=st.integers(1, 12), h=st.floats(0.1, 2.0))
+    def test_rows_do_not_depend_on_the_stack(self, data, m, k, h):
+        R = _stack_rows(data, m, k)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        V = rng.standard_normal(R.shape)
+        values, grads, hvps = _kernel_rows(R, h, V)
+        perm = rng.permutation(k)
+        top = data.draw(st.integers(1, k))
+        for part in (perm, np.arange(top)):
+            pv, pg, ph = _kernel_rows(R[part], h, V[part])
+            assert np.array_equal(pv, values[part], equal_nan=True)
+            assert np.array_equal(pg, grads[part], equal_nan=True)
+            assert np.array_equal(ph, hvps[part], equal_nan=True)
+        for r, u, v, g, hu in zip(R, V, values, grads, hvps):
+            alone = _kernel_rows(r, h, u)
+            assert np.array_equal(alone[0], v, equal_nan=True)
+            assert np.array_equal(alone[1], g, equal_nan=True)
+            assert np.array_equal(alone[2], hu, equal_nan=True)
+            if np.isnan(r).any():          # NaN stays in its own row
+                assert math.isnan(v) and np.isnan(g).all()
+                continue
+            v_ref, g_ref = dense_kernel(r, h)
+            hu_ref = _kernel_hessian(r, h, _dense_sums)(u)
+            assert abs(v - v_ref) <= 1e-12 * abs(v_ref)
+            assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
+            assert abs(g.sum()) < 1e-10
+            assert (np.linalg.norm(hu - hu_ref)
+                    <= 1e-10 * np.linalg.norm(hu_ref))
+
+    def test_one_transform_per_bandwidth(self, monkeypatch):
+        # A stacked solve's evaluation and an estimate_rho call over a spec
+        # tuple make one transform per bandwidth for all their rows, not
+        # one per row; the stacks here fit in one chunk.
+        inst = make_instance(6, 2, 2 * _FGT_MIN_M, (2, 1),
+                             NoiseModel.gaussian(0.1), seed=8)
+        specs = (LossSpec.kernel(0.5), LossSpec.combined(0.3, 0.5),
+                 LossSpec.kernel(0.8), LossSpec.mse(),
+                 LossSpec.combined(0.6, 0.8))
+        assert 3 * 2 * inst.op.m <= losses._FGT_CHUNK
+        calls = []
+        real = losses._gauss_sums
+
+        def counted(r, h):
+            calls.append(h)
+            return real(r, h)
+
+        monkeypatch.setattr(losses, "_gauss_sums", counted)
+        # Every problem ends at its first evaluation (grad_tol is huge).
+        config = SolverConfig(eta=0.01, max_iters=5, grad_tol=1e30,
+                              init="ground_truth_perturbed", init_scale=0.1)
+        res = gradient_descent((inst,) * len(specs), specs,
+                               (config,) * len(specs))
+        assert res.iterations_run == 0
+        assert sorted(calls) == [0.5, 0.8]
+        calls.clear()
+        estimate_rho(specs, inst.op, inst.measurements, samples=3, seed=4)
+        assert sorted(calls) == [0.5, 0.8]
+
+
+def _entry_point_calls():
+    """Every public entry point that takes a measurement vector b, as
+    call(inst, b)."""
+    spec = LossSpec.kernel(0.5)
+
+    def M(inst):
+        return inst.truth.matrix
+
+    def X(inst):
+        return inst.truth.factor
+
+    return {
+        "residuals": lambda i, b: residuals(i.op, b, X(i)),
+        "grad_M": lambda i, b: grad_M(spec, i.op, b, M(i)),
+        "grad_X": lambda i, b: grad_X(spec, i.op, b, X(i)),
+        "hessian_quadratic_form": lambda i, b: hessian_quadratic_form(
+            spec, i.op, b, M(i), M(i)),
+        "hessian_vector_product": lambda i, b: hessian_vector_product(
+            spec, i.op, b, M(i), M(i)),
+        "lambda_min_hessian": lambda i, b: lambda_min_hessian(
+            spec, i.op, b, M(i), iters=3),
+        "estimate_zeta1": lambda i, b: estimate_zeta1(spec, i.op, b, M(i),
+                                                      samples=2, seed=0),
+        "estimate_zeta2": lambda i, b: estimate_zeta2(spec, i.op, b, M(i),
+                                                      samples=2, seed=0),
+        "estimate_rho": lambda i, b: estimate_rho(spec, i.op, b, samples=2,
+                                                  seed=0),
+        "estimate_lambda12": lambda i, b: estimate_lambda12(
+            spec, i.op, b, M(i), samples=2, seed=0),
+        "finite_diff_check": lambda i, b: finite_diff_check(spec, i.op, b,
+                                                            X(i)),
+        "spectral_init": lambda i, b: spectral_init(i.op, b, 2),
+        "gradient_descent": lambda i, b: gradient_descent(
+            replace(i, measurements=b), spec,
+            SolverConfig(eta=0.01, max_iters=1, init="explicit",
+                         init_X0=X(i))),
+    }
+
+
+@pytest.mark.parametrize("bad", ["0.3", "[0.3]", "m - 1"])
+@pytest.mark.parametrize("entry", sorted(_entry_point_calls()))
+def test_measurements_of_the_wrong_length_are_rejected(entry, bad):
+    # numpy would broadcast a scalar or a length-1 b over the residuals;
+    # every entry point rejects it with residuals' message instead.
+    inst = make_instance(6, 2, 60, (2, 1), NoiseModel.gaussian(0.1), seed=9)
+    b = {"0.3": 0.3, "[0.3]": [0.3],
+         "m - 1": inst.measurements[:-1]}[bad]
+    with pytest.raises(ValueError, match=r"b must have length 60, got "):
+        _entry_point_calls()[entry](inst, b)
