@@ -25,20 +25,21 @@
 # The samples depend on the seed, not on the loss, so estimate_rho and
 # estimate_lambda12 also take a tuple of LossSpecs and give one result per
 # spec from one shared sample set: one draw and one stacked apply_op, the
-# kernel work once per bandwidth, and the combined loss's quantities mixed
-# from it by losses._mix, the expression its one-loss functions use.  Each
+# kernel work once per bandwidth (losses._kernel_work) and each spec's
+# derivatives assembled from it as its one-loss functions do.  Each
 # spec keeps its own stacked adjoint_op, so every result equals the spec's
 # own call bit for bit.  rho's pairs do not depend on b either, so
 # estimate_rho also takes a stack of measurement vectors (the sweep's
 # epsilon grid) and draws and applies its pairs once for all of them.
 #
-# Every derivative comes from the residual-space core in losses: exact
-# gradients -A*(g) and Hessian forms <A(K), H A(L)> via hvp_residual.  The
-# noise enters only through the residuals, so the Hessian's noise
-# sensitivity is <A(K), (H(r + w1) - H(r + w2)) A(L)>.  The MSE follows
-# the sum-normalized square loss (gradient -2 A*(r), Hessian 2 A*A): rho
-# then equals 2 ||A*A|| on the restricted set, the gradient-vs-noise
-# coupling is 2 A*(w), and zeta2 = lambda2 = 0 exactly.
+# No loss formula is written here: the MSE, kernel and combined gradients
+# -A*(g) and Hessian forms <A(K), H A(L)> are kernel work from losses
+# assembled by losses._derivative.  The noise enters only through the
+# residuals, so the Hessian's noise sensitivity is
+# <A(K), (H(r + w1) - H(r + w2)) A(L)>.  The MSE takes _derivative's scale
+# (gradient -2 A*(r), Hessian 2 A*A): rho then equals 2 ||A*A|| on the
+# restricted set, the gradient-vs-noise coupling is 2 A*(w), and
+# zeta2 = lambda2 = 0 exactly.
 
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ import numpy as np
 
 from .model import (SensingOperator, _derived_seeds, _draws, adjoint_op,
                     apply_op, estimate_rip, random_low_rank_symmetric)
-from .losses import (KERNEL, MSE, LossSpec, _measurements, _mix,
+from .losses import (LossSpec, _derivative, _kernel_work, _measurements,
                      grad_residual, grad_X, hvp_residual, kernel_row_means,
                      loss_value, residuals)
 
@@ -73,39 +74,16 @@ def _specs(spec) -> tuple:
     return spec if isinstance(spec, tuple) else (spec,)
 
 
-def _bandwidths(specs) -> dict:
-    """One residual-space kernel loss per bandwidth among specs."""
-    return {s.h: LossSpec.kernel(s.h) for s in specs if s.kind != MSE}
-
-
-def _kernel_grads(specs, r) -> dict:
-    """Kernel residual gradients of the rows of a stack r, stacked, for
-    each bandwidth among specs: one kernel evaluation per bandwidth."""
-    return {h: grad_residual(k, r) for h, k in _bandwidths(specs).items()}
-
-
-def _residual_grads(spec: LossSpec, r, kernel: dict) -> np.ndarray:
-    """Residual gradients g of spec, row by row of a stack r, with the
-    matrix-space gradient -A*(g(b - A(M))); the MSE takes g = 2r (see the
-    header).  kernel holds the rows' kernel gradients (_kernel_grads)."""
-    if spec.kind == MSE:
-        return 2.0 * r
-    if spec.kind == KERNEL:
-        return kernel[spec.h]
-    return _mix(spec, r, kernel[spec.h])
-
-
 def _grad_gaps(specs, op: SensingOperator, r):
     """Per spec, in turn, grad at r1 minus grad at r2 for the residual
     pairs r[..., 0, :] = r1 and r[..., 1, :] = r2: by linearity of A*,
     -A*(g(r1)) + A*(g(r2)) = A*(g(r2) - g(r1)), one stacked adjoint per
     spec.  The kernel gradients of all rows are one evaluation per
     bandwidth."""
-    k = _kernel_grads(specs, r)
-    k1, k2 = ({h: g[..., i, :] for h, g in k.items()} for i in (0, 1))
+    kernel = _kernel_work(specs, lambda k: grad_residual(k, r))
     for s in specs:
-        yield adjoint_op(op, _residual_grads(s, r[..., 1, :], k2)
-                         - _residual_grads(s, r[..., 0, :], k1))
+        g = _derivative(s, r, kernel.get(s.h))
+        yield adjoint_op(op, g[..., 1, :] - g[..., 0, :])
 
 
 def _hess_gaps(specs, r1, r2, ak, al) -> list:
@@ -115,16 +93,11 @@ def _hess_gaps(specs, r1, r2, ak, al) -> list:
     products of all r1 and r2 rows are one hvp_residual call per
     bandwidth."""
     r, v = np.stack((r1, r2)), np.stack((al, al))
-    kernel = {h: hvp_residual(k, r, v) for h, k in _bandwidths(specs).items()}
+    kernel = _kernel_work(specs, lambda k: hvp_residual(k, r, v))
     ak = np.reshape(ak, (-1, ak.shape[-1]))
 
     def gaps(s):
-        if s.kind == MSE:
-            h12 = 2.0 * v               # hvp_residual's H = 2I at every r
-        elif s.kind == KERNEL:
-            h12 = kernel[s.h]
-        else:
-            h12 = _mix(s, v, kernel[s.h], hvp=True)
+        h12 = _derivative(s, v, kernel.get(s.h), hvp=True)
         diff = (h12[0] - h12[1]).reshape(ak.shape)
         out = [float(a @ d) for a, d in zip(ak, diff)]
         return out[0] if np.ndim(r1) == 1 else out

@@ -10,13 +10,16 @@
 # iff all residuals are equal.
 #
 # Each loss is defined once, in residual space, by its value, gradient g
-# and Hessian-vector product H v (hvp_residual, which also states the MSE
-# curvature convention H = 2I).  r = b - A(M) is affine in M, so matrix
-# space composes with A and its adjoint A*: gradient -A*(g), Hessian
-# A*(H A(K)), quadratic form <A(K), H A(K)>.  All derivatives are exact
-# (the kernel HVP is the forward-mode derivative of its gradient, cf.
-# Pearlmutter 1994); finite differences live only in the gradient oracle
-# empirics.finite_diff_check and in the tests.
+# and Hessian-vector product H v; _derivative alone assembles each kind's
+# g and H v from its kernel work.  The MSE's two scales sit side by side
+# here: 0.5 sum(r_i^2), gradient r (_loss_rows: values and solves), and
+# sum(r_i^2), gradient 2r, Hessian 2I (_derivative: curvature and
+# Lipschitz quantities); ROADMAP item 4 is to choose one.  r = b - A(M) is
+# affine in M, so matrix space composes with A and its adjoint A*:
+# gradient -A*(g), Hessian A*(H A(K)), quadratic form <A(K), H A(K)>.  All
+# derivatives are exact (the kernel HVP is the forward-mode derivative of
+# its gradient, cf. Pearlmutter 1994); finite differences live only in the
+# gradient oracle empirics.finite_diff_check and in the tests.
 #
 # The MSE also has a normal-equations form, model.normal_products: its
 # matrix-space gradient -A*(r) = A*A(M) - A*(b) is affine, so with G = A*A
@@ -580,39 +583,47 @@ def _kernel_hessian(r: np.ndarray, h: float, provider=None):
 # Residual-space values, gradients and Hessian-vector products
 # ---------------------------------------------------------------------------
 
-def _mix(spec: LossSpec, x: np.ndarray, kernel_part: np.ndarray,
-         hvp: bool = False) -> np.ndarray:
-    """The combined loss's residual gradient at x = r from the kernel
-    gradient there, or with hvp its Hessian-vector product along x = v from
-    H_kernel v: lam (2/m) r, or (2 lam/m) v, from the mean square
-    (1/m) sum(r_i^2), plus (1 - lam) times the kernel part.  Row by row of
-    a stack too, with the same bits.  The one place the combined
-    derivatives are mixed: the one-loss functions here and the estimators
-    that share kernel work between losses (empirics) call it.  The two
-    mean-square terms round in different orders; stored sweep results
-    depend on both, bit for bit.
+def _derivative(spec: LossSpec, x: np.ndarray, kernel_part,
+                hvp: bool = False) -> np.ndarray:
+    """spec's residual gradient at x = r from the kernel gradient there, or
+    with hvp its Hessian-vector product along x = v from H_kernel v: for
+    the MSE 2x (of sum(r_i^2), Hessian 2I; the kernel part is unused), for
+    the kernel loss the kernel part, and for the combined loss lam (2/m) r,
+    or (2 lam/m) v, from the mean square (1/m) sum(r_i^2), plus (1 - lam)
+    times the kernel part.  Row by row of a stack too, with the same bits.
+    The two mean-square terms round in different orders; stored sweep
+    results depend on both, bit for bit.
     """
+    if spec.kind == MSE:
+        return 2.0 * x
+    if spec.kind == KERNEL:
+        return kernel_part
     lam, m = spec.lambda_mix, x.shape[-1]
     mse = (2.0 * lam / m) * x if hvp else lam * ((2.0 / m) * x)
     return mse + (1.0 - lam) * kernel_part
 
 
+def _kernel_work(specs, work) -> dict:
+    """{h: work(LossSpec.kernel(h))} for each bandwidth h among specs."""
+    return {h: work(LossSpec.kernel(h)) for h in dict.fromkeys(
+        s.h for s in specs if s.kind != MSE)}
+
+
 def _loss_rows(specs, R: np.ndarray, grad: bool):
     """Values (an array) and, if grad, residual gradients (a stack, else
     None) of specs[i] at row i of the stack R, with one kernel evaluation
-    per bandwidth for all the rows that need it."""
+    per bandwidth for all the rows that need it.  The MSE here is
+    0.5 sum(r_i^2) with gradient r, not _derivative's sum(r_i^2): choosing
+    one scale is ROADMAP item 4."""
     kernel_rows = {}
     for i, spec in enumerate(specs):
         if spec.kind != MSE:
             kernel_rows.setdefault(spec.h, []).append(i)
-    if [list(range(len(R)))] == list(kernel_rows.values()):
-        values, G = _kernel(R, specs[0].h, grad)
-    else:
-        values, G = np.empty(len(R)), np.empty(R.shape) if grad else None
-        for h, rows in kernel_rows.items():
-            values[rows], kg = _kernel(R[rows], h, grad)
-            if grad:
-                G[rows] = kg
+    values, G = np.empty(len(R)), np.empty(R.shape) if grad else None
+    for h, rows in kernel_rows.items():
+        values[rows], kg = _kernel(R[rows], h, grad)
+        if grad:
+            G[rows] = kg
     for i, (spec, r) in enumerate(zip(specs, R)):
         if spec.kind == MSE:
             values[i] = 0.5 * float(r @ r)
@@ -622,7 +633,7 @@ def _loss_rows(specs, R: np.ndarray, grad: bool):
             lam = spec.lambda_mix
             values[i] = lam * (float(r @ r) / r.size) + (1.0 - lam) * values[i]
             if grad:
-                G[i] = _mix(spec, r, G[i])
+                G[i] = _derivative(spec, r, G[i])
     return values, G
 
 
@@ -630,8 +641,6 @@ def _value_and_grad(spec: LossSpec, r: np.ndarray, grad: bool):
     """Loss value and, if grad, residual gradient (else None), for one
     residual vector (the value a float) or each row of a stack (..., m)."""
     r = np.asarray(r, dtype=float)
-    if spec.kind == KERNEL:
-        return _kernel(r, spec.h, grad)
     rows = r.reshape(-1, r.shape[-1])
     values, G = _loss_rows((spec,) * len(rows), rows, grad)
     if r.ndim == 1:
@@ -650,6 +659,8 @@ def kernel_row_means(r: np.ndarray, h: float) -> np.ndarray:
     estimate at each residual (O(m) from _FGT_MIN_M residuals on)."""
     h = LossSpec.kernel(h).h              # rejects h <= 0 and non-finite h
     r = np.asarray(r, dtype=float)
+    if r.ndim != 1:
+        raise ValueError(f"r must be one residual vector, got shape {r.shape}")
     order, rs = _sorted_rows(r.reshape(1, -1))
     return _unsort(_gauss_sums(rs, h)(None, (0,))[0] / r.size,
                    order).reshape(r.shape)
@@ -675,25 +686,19 @@ def loss_and_grad_residual(spec: LossSpec, r: np.ndarray):
 
 def _residual_hessian(spec: LossSpec, r: np.ndarray):
     """v -> H v at r (see hvp_residual), v-independent sums formed once."""
-    if spec.kind == MSE:
-        return lambda v: 2.0 * v
-    kernel = _kernel_hessian(r, spec.h)
-    if spec.kind == KERNEL:
-        return kernel
-    return lambda v: _mix(spec, v, kernel(v), hvp=True)
+    kernel = _kernel_hessian(r, spec.h) if spec.kind != MSE else None
+    return lambda v: _derivative(spec, v, kernel(v) if kernel else None,
+                                 hvp=True)
 
 
 def hvp_residual(spec: LossSpec, r: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Residual-space Hessian-vector product H v at r, for one residual
     vector or at each row of a stack along the same row of v: one Hessian
-    build and product per chunk of rows (_row_chunks).
-
-    Kernel and combined (lam (2/m) I + (1 - lam) H_kernel): the exact
-    directional derivative of grad_residual along v.  MSE: H = 2I, the
-    Hessian of sum(r_i^2), twice the MSE 0.5 sum(r_i^2), under which
-    the landscape facts hold (smallest Hessian eigenvalue 2(1 - delta),
-    gradient-Lipschitz constant 2(1 + delta)); every MSE curvature quantity
-    inherits this convention.
+    build and product per chunk of rows (_row_chunks).  Kernel and
+    combined: the exact directional derivative of grad_residual along v.
+    MSE: H = 2I, _derivative's scale, under which the landscape facts hold
+    (smallest Hessian eigenvalue 2(1 - delta), gradient-Lipschitz constant
+    2(1 + delta)).
     """
     r = np.asarray(r, dtype=float)
     v = np.asarray(v, dtype=float)

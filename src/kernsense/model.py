@@ -255,8 +255,8 @@ def gen_ground_truth(n: int, r: int, spectrum, seed: int) -> GroundTruth:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if len(spectrum) != r:
         raise ValueError(f"spectrum must have r={r} entries, got {len(spectrum)}")
-    if any(s <= 0 for s in spectrum):
-        raise ValueError("spectrum entries must be > 0")
+    if not all(math.isfinite(s) and s > 0 for s in spectrum):
+        raise ValueError("spectrum entries must be finite and > 0")
 
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, r))
@@ -467,6 +467,7 @@ def estimate_rip(op: SensingOperator, rank: int, trials: int, seed: int) -> RipE
     child seed (seed, t) (_draws), so nested trial counts give nested
     sample sets; all trials go through one stacked apply_op.
     """
+    _check_count("rank", rank)
     if rank > op.n:
         raise ValueError("rank must be <= n")
     xs, = _draws("trials", trials, seed,
@@ -587,20 +588,40 @@ def instance_to_json(inst: ProblemInstance) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _doc_value(doc: dict, key: str, kind: type, prefix: str = ""):
+    """doc[key], checked to be a kind (a bool is no number): ValueError
+    naming prefix + key if it is missing or of another type."""
+    if key not in doc:
+        raise ValueError(f"instance document lacks key {prefix + key!r}")
+    value = doc[key]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ValueError(f"instance key {prefix + key!r} must be a "
+                         f"{kind.__name__}, got {value!r}")
+    return value
+
+
 def instance_from_json(text: str) -> ProblemInstance:
     """Regenerate an instance from its document; bit-exact round trip.
 
-    Raises ValueError when the document holds a measurements fingerprint
-    that the regenerated instance does not match; documents without one
-    load unchecked.
+    Raises ValueError naming a missing or mistyped key, and when the
+    document holds a measurements fingerprint that the regenerated
+    instance does not match; documents without one load unchecked.
     """
     doc = json.loads(text)
-    if doc.get("format") != "kernsense-instance-v1":
+    if not (isinstance(doc, dict)
+            and doc.get("format") == "kernsense-instance-v1"):
         raise ValueError("not a kernsense instance document")
-    noise = NoiseModel(doc["noise"]["kind"], doc["noise"]["params"],
-                       doc["noise"]["centered"])
-    inst = make_instance(doc["n"], doc["r"], doc["m"], doc["spectrum"],
-                         noise, doc["seed"])
+    n, r, m, seed = (_doc_value(doc, k, int) for k in ("n", "r", "m", "seed"))
+    spectrum = _doc_value(doc, "spectrum", list)
+    if not all(isinstance(s, (int, float)) and not isinstance(s, bool)
+               for s in spectrum):
+        raise ValueError(f"instance key 'spectrum' must be a list of numbers, "
+                         f"got {spectrum!r}")
+    noise = _doc_value(doc, "noise", dict)
+    noise = NoiseModel(*(_doc_value(noise, key, kind, "noise.")
+                         for key, kind in (("kind", str), ("params", dict),
+                                           ("centered", bool))))
+    inst = make_instance(n, r, m, spectrum, noise, seed)
     expected = doc.get("measurements_sha256")
     if expected is not None and expected != _fingerprint(inst.measurements):
         raise ValueError("the instance regenerated from the seed does not "

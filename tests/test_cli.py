@@ -7,7 +7,8 @@ import pytest
 
 from kernsense.cli import (SWEEP_CSV_HEADER, SweepConfig, build_parser, main,
                            run_sweep, sweep_csv)
-from kernsense.model import instance_from_json, prob_norm_bound
+from kernsense.model import (NoiseModel, instance_from_json, instance_to_json,
+                             make_instance, prob_norm_bound)
 
 
 @pytest.fixture()
@@ -246,6 +247,67 @@ def test_gen_bad_rip_trials_writes_nothing(tmp, capsys):
     assert code == 2
     assert "trials" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spectrum,rank", [("nan", "1"), ("inf", "1"),
+                                           ("1,nan", "2")])
+def test_gen_non_finite_spectrum_writes_nothing(tmp, capsys, spectrum, rank):
+    # NaN passed the s <= 0 test and was written as a NaN ground truth.
+    out = tmp / "g.json"
+    code = main(["gen", "--n", "6", "--rank", rank, "--m", "40",
+                 "--spectrum", spectrum, "--out", str(out)])
+    assert code == 2
+    assert "spectrum entries must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_DELETE = object()
+_MALFORMED_INSTANCES = [
+    (("noise",), _DELETE, "'noise'"),
+    (("noise", "params"), _DELETE, "'noise.params'"),
+    (("noise", "kind"), _DELETE, "'noise.kind'"),
+    (("noise", "centered"), _DELETE, "'noise.centered'"),
+    (("seed",), _DELETE, "'seed'"),
+    (("seed",), 1.5, "'seed'"),
+    (("seed",), "1", "'seed'"),
+    (("r",), "1", "'r'"),
+    (("n",), True, "'n'"),
+    (("noise",), 3, "'noise'"),
+    (("noise", "params"), [0.1], "'noise.params'"),
+    (("noise", "centered"), 0, "'noise.centered'"),
+    (("spectrum",), ["2", 1], "'spectrum'"),
+    (("spectrum",), 2.0, "'spectrum'"),
+    ((), [1, 2], "not a kernsense instance document"),
+]
+
+
+@pytest.mark.parametrize("path,value,named", _MALFORMED_INSTANCES, ids=[
+    ".".join(path or ["document"]) + "-" + (
+        "missing" if value is _DELETE else type(value).__name__)
+    for path, value, _ in _MALFORMED_INSTANCES])
+def test_solve_malformed_instance_writes_nothing(tmp, capsys, path, value,
+                                                 named):
+    # Each case raised KeyError, TypeError or AttributeError (exit 1).
+    doc = json.loads(instance_to_json(make_instance(
+        6, 2, 40, (2, 1), NoiseModel.gaussian(0.1), seed=3)))
+    if path:
+        *parents, key = path
+        holder = doc
+        for k in parents:
+            holder = holder[k]
+        if value is _DELETE:
+            del holder[key]
+        else:
+            holder[key] = value
+    else:
+        doc = value
+    inst_file = tmp / "inst.json"
+    inst_file.write_text(json.dumps(doc))
+    code = main(["solve", "--instance", str(inst_file), "--loss", "mse",
+                 "--max-iters", "2", "--out", str(tmp / "run" / "o")])
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp / "run").exists()
 
 
 def test_sweep_workers_below_one_exit_two(tmp, capsys):

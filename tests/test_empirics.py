@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernsense.empirics import (_hess_gaps, _kernel_grads, _residual_grads,
-                                estimate_constants, estimate_lambda12,
-                                estimate_rho, estimate_zeta1, estimate_zeta2,
+from kernsense.empirics import (_hess_gaps, estimate_constants,
+                                estimate_lambda12, estimate_rho,
+                                estimate_zeta1, estimate_zeta2,
                                 finite_diff_check, residual_constants)
-from kernsense.losses import (_FGT_MIN_M, MSE, LossSpec, grad_M,
-                              grad_residual, hvp_residual)
+from kernsense.losses import (_FGT_MIN_M, MSE, LossSpec, _derivative,
+                              _kernel_work, grad_M, grad_residual,
+                              hvp_residual, kernel_row_means)
 from kernsense.model import (_OP_BLOCK, NoiseModel, adjoint_op, apply_op,
                              estimate_rip, make_instance,
                              orthonormal_basis_operator,
@@ -163,11 +165,12 @@ class TestSharedSamples:
         ak, al = rng.standard_normal((2, m))
         specs = (LossSpec.mse(), LossSpec.kernel(h),
                  LossSpec.combined(lam, 1.7 * h if own_h else h))
-        kernel = _kernel_grads(specs, r)
+        kernel = _kernel_work(specs, lambda k: grad_residual(k, r))
         for spec in specs:
             want = (2.0 * r if spec.kind == MSE
                     else np.array([grad_residual(spec, row) for row in r]))
-            assert np.array_equal(_residual_grads(spec, r, kernel), want)
+            assert np.array_equal(_derivative(spec, r, kernel.get(spec.h)),
+                                  want)
         for spec, gap in zip(specs, _hess_gaps(specs, r[0], r[1], ak, al)):
             assert gap == float(ak @ (hvp_residual(spec, r[0], al)
                                       - hvp_residual(spec, r[1], al)))
@@ -231,6 +234,16 @@ class TestResidualConstants:
     def test_rejects_bad_bandwidth(self, bad):
         with pytest.raises(ValueError):
             residual_constants(np.zeros(3), bad)
+
+    @pytest.mark.parametrize("r", [[[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]],
+                                   [[0.0, 1.0]], 0.4])
+    def test_rejects_anything_but_one_vector(self, r):
+        # The rows [0,0,0] and [5,5,5], read as one vector, gave G = 0.5
+        # everywhere and B = 5, where each row alone gives 1 and 0.
+        shape = np.shape(r)
+        for f in (residual_constants, kernel_row_means):
+            with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+                f(np.array(r), 1.0)
 
 
 class TestFiniteDiffCheck:

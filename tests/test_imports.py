@@ -1,5 +1,6 @@
 """Every name a kernsense module or test module imports is used there,
-and `import kernsense` loads only the library's core modules.
+`import kernsense` loads only the library's core modules, and the
+estimators in empirics leave every loss kind's formulas to losses.
 
 A stdlib-ast stand-in for a linter's unused-import rule.  The package's
 __init__.py is exempt (its imports are the re-exports), and so are
@@ -51,6 +52,42 @@ def test_finds_an_unused_import():
            "def f():\n"
            "    return os.path.sep\n")
     assert unused_imports(src) == [(2, "math"), (3, "ld")]
+
+
+# What a module must not touch to branch on the loss kind: the kind tag,
+# the kind constants, or a per-kind assembly that losses keeps to itself.
+LOSS_KIND_NAMES = {"kind", "MSE", "KERNEL", "COMBINED", "_mix"}
+
+
+def loss_kind_uses(source: str) -> list:
+    """(line, name) of each import of a LOSS_KIND_NAMES name and of each
+    attribute read of one (spec.kind, losses.MSE)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, a.name) for a in node.names
+                    if a.name in LOSS_KIND_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in LOSS_KIND_NAMES:
+            out.append((node.lineno, node.attr))
+    return out
+
+
+def test_finds_a_loss_kind_use():
+    src = ("from .losses import MSE, LossSpec, grad_residual\n"
+           "import kernsense.losses as L\n"
+           "def f(spec, r):\n"
+           "    if spec.kind == MSE or spec is L.KERNEL:\n"
+           "        return 2.0 * r\n"
+           "    return grad_residual(spec, r)\n")
+    assert sorted(loss_kind_uses(src)) == [(1, "MSE"), (4, "KERNEL"),
+                                           (4, "kind")]
+
+
+def test_empirics_leaves_loss_kinds_to_losses():
+    # Each loss kind's residual gradient and Hessian-vector product are
+    # assembled in losses (_derivative); an estimator that branched on the
+    # kind would write a second definition of a loss.
+    assert loss_kind_uses((SRC / "empirics.py").read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -45,6 +45,14 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             gen_ground_truth(n, r, spec, seed=0)
 
+    @pytest.mark.parametrize("spec", [(math.nan,), (math.inf,),
+                                      (1.0, math.nan)])
+    def test_rejects_non_finite_spectrum(self, spec):
+        # NaN passed the s <= 0 test and gave a NaN ground truth.
+        with pytest.raises(ValueError, match="spectrum entries must be finite"):
+            make_instance(5, len(spec), 12, spec, NoiseModel.gaussian(0.1),
+                          seed=0)
+
 
 class TestSensingOperator:
     def test_matrices_symmetric(self):
@@ -266,6 +274,13 @@ class TestRipEstimate:
             estimate_rip(op, rank=2, trials=0, seed=0)
         with pytest.raises(ValueError):
             estimate_rip(op, rank=5, trials=5, seed=0)
+
+    @pytest.mark.parametrize("rank", [0, True, 2.5])
+    def test_rejects_rank_that_is_not_a_count(self, rank):
+        # rank 0 probed with an e1 e1^T fallback and reported rank_tested=0.
+        op = gen_gaussian_operator(4, 10, seed=0)
+        with pytest.raises(ValueError, match="rank must be"):
+            estimate_rip(op, rank=rank, trials=3, seed=0)
 
     @pytest.mark.parametrize("trials", [2.5, True, np.float64(3.0), "4"])
     def test_rejects_trials_that_are_not_counts(self, trials):
