@@ -50,17 +50,19 @@
 # depend on the residuals' values, not on their order.  A one-row call is
 # the stack of one.  The fast path lays a stack's rows end to end in one
 # transform in which every row start is a forced cluster cut and tie-group
-# boundary, and gives each row the bits it gets alone, whatever its
-# neighbours, position or stack height (_fgt_transform says how); the dense
-# path builds each row's tables in turn.  A stack goes through in chunks of
+# boundary.  Each row's translation is its own product, as alone, every
+# sparse point goes through one gathered layout and each dense box is one
+# product, so each row gets the bits it gets alone, whatever its
+# neighbours, position or stack height (_fgt_transform); the dense path
+# builds each row's tables in turn.  A stack goes through in chunks of
 # whole rows of at most _FGT_CHUNK = 4096 residuals, each chunk's tables
 # freed before the next is built (a chunk's power table takes 0.75 MB).
 # Measured on that Xeon (student-t residuals of norm 0.9, h = 0.5, best of
 # 25 x 50 calls), the fast path takes ~0.24 ms per value and gradient at
 # m = 1200 and ~0.45 ms at m = 4000 (value only ~0.16 / 0.24 ms, a Hessian
 # build and one HVP ~0.4 / 0.75 ms), and a stack of 6 rows at m = 1200 (two
-# chunks) takes ~0.55x (value and gradient) and ~0.7x (Hessian build and
-# HVP) the time of 6 one-row calls; the dense path takes ~200 ms and
+# chunks) takes ~0.7x the time of 6 one-row calls, for value and gradient
+# as for a Hessian build and HVP; the dense path takes ~200 ms and
 # 256 MB at m = 4000.  Property tests hold the fast path to the dense one: relative
 # error <= 1e-12 on the value, <= 1e-10 on the gradient and HVP norms,
 # zero-sum gradient and HVP.  The exponentially
@@ -120,8 +122,6 @@ _FGT_REACH_BOXES = int(2 * _FGT_REACH) + 1
 # rows holding at most this many (one row at least), which bounds a chunk's
 # (p, points) power table to 0.75 MB.
 _FGT_CHUNK = 1 << 12
-# Columns (boxes) per translation product at most; see _fgt_transform.
-_FGT_GEMM_BOXES = 64
 # Points of sparse boxes per reduction and evaluation step of a transform.
 _FGT_BLOCK = 1 << 11
 
@@ -321,18 +321,14 @@ def _fgt_transform(x: np.ndarray, cuts: np.ndarray, h: float, shape):
     points (in groups, _fgt_groups), as a product per box costs more than
     it saves on small boxes.
 
-    A row in a stack is rounded as it is alone.  Every step but the
-    translations and the sparse boxes' einsum is elementwise, or a
-    reduction over one box or tie group.  einsum's order of summation
-    follows its operands' layout, so the sparse points of a row that also
-    holds a dense box are gathered (point-major), and those of the other
-    rows are read in place, as each row lays them out alone.  The
-    translation of a row of one box is a GEMV, and that of a row of more
-    than _FGT_GEMM_BOXES boxes one GEMM, both as without other rows; the
-    other rows' boxes are packed into GEMMs of at most _FGT_GEMM_BOXES
-    columns (_fgt_columns).  At those widths OpenBLAS 0.3 computed every
-    column with the same bits whatever the columns beside it, on AVX-512
-    through its small-matrix kernel; wider products take another kernel.
+    A row in a stack is rounded as it is alone, by construction: every
+    step is elementwise, a reduction over one box or tie group, or a
+    product the row makes alone.  Each row's translation is its own
+    product with its own columns of the moments, the call it makes alone
+    (a matrix-vector product for a row of one box), and each dense box is
+    one product.  einsum's order of summation follows its operands'
+    layout, so every sparse point is gathered (point-major), which lays
+    each row's points out as alone.
     """
     n = x.size
     gap = np.diff(x)
@@ -376,7 +372,6 @@ def _fgt_transform(x: np.ndarray, cuts: np.ndarray, h: float, shape):
     near[occupied[np.minimum(near, occupied.size - 1)] != want] = occupied.size
     width = len(near)
     row_box = np.searchsorted(starts, cuts).tolist() + [width]
-    cols = _fgt_columns(row_box)
     powers = np.empty((p, n))
     powers[0] = 1.0
     for a in range(1, p):
@@ -385,24 +380,7 @@ def _fgt_transform(x: np.ndarray, cuts: np.ndarray, h: float, shape):
     dense = np.flatnonzero(~sparse)
     blocks = [(j, slice(a, a + c)) for j, a, c in zip(
         dense.tolist(), starts[dense].tolist(), counts[dense].tolist())]
-    # The sparse boxes of a row that also holds a dense box go through
-    # their points gathered (point-major), those of the other rows through
-    # their points in place, as each row goes alone: einsum's order of
-    # summation follows its operands' layout.
-    mixed = np.logical_or.reduceat(~sparse, row_box[:-1])
-    gather = sparse if mixed.all() else sparse & np.repeat(
-        mixed, np.diff(row_box))
-    pts = np.flatnonzero(np.repeat(gather, counts))
-    groups = _fgt_groups(np.flatnonzero(gather), counts, pts, powers[:, pts])
-    runs = []                   # consecutive rows without a dense box
-    for i in np.flatnonzero(~mixed).tolist():
-        if runs and runs[-1][1] == row_box[i]:
-            runs[-1][1] = row_box[i + 1]
-        else:
-            runs.append([row_box[i], row_box[i + 1]])
-    for b0, b1 in runs:
-        c = slice(starts[b0], starts[b1] if b1 < starts.size else n)
-        groups += _fgt_groups(np.arange(b0, b1), counts, c, powers[:, c])
+    groups = _fgt_groups(sparse, counts, powers)
     moments = np.zeros((occupied.size + 1, p))
     ones = np.ones(n)
     h_powers = np.power(h, (0, 1, 2))
@@ -419,11 +397,8 @@ def _fgt_transform(x: np.ndarray, cuts: np.ndarray, h: float, shape):
         gathered = moments[near].reshape(width, -1).T
         local = np.empty((len(ks), p, width))
         for i, k in enumerate(ks):
-            if len(cols) == 1:                  # one product, no views
-                np.matmul(trt[k], gathered, out=local[i])
-            else:
-                for c in cols:
-                    np.matmul(trt[k], gathered[:, c], out=local[i, :, c])
+            for b0, b1 in zip(row_box, row_box[1:]):    # each row alone
+                np.matmul(trt[k], gathered[:, b0:b1], out=local[i, :, b0:b1])
             # d^k = (h y)^k, and the translations hold the coefficients in
             # y (h^0 = 1 needs no product).
             if k:
@@ -438,47 +413,27 @@ def _fgt_transform(x: np.ndarray, cuts: np.ndarray, h: float, shape):
     return sums
 
 
-def _fgt_columns(row_box: list) -> list:
-    """Column ranges of _fgt_transform's translation products, for rows
-    whose boxes start at row_box (and end at row_box[-1]): a row of one box
-    (a GEMV) or of more than _FGT_GEMM_BOXES boxes is one product alone, as
-    without other rows, and the other rows' boxes are packed into products
-    of at most _FGT_GEMM_BOXES columns."""
-    spans = []
-    for b0, b1 in zip(row_box, row_box[1:]):
-        packed = 1 < b1 - b0 <= _FGT_GEMM_BOXES
-        if spans and spans[-1][2] and packed and (
-                b1 - spans[-1][0] <= _FGT_GEMM_BOXES):
-            spans[-1][1] = b1
-        else:
-            spans.append([b0, b1, packed])
-    return [slice(b0, b1) for b0, b1, _ in spans]
-
-
-def _fgt_groups(boxes, counts, pts, fp) -> list:
-    """Sparse boxes of _fgt_transform in groups of whole boxes of about
-    _FGT_BLOCK points, which bounds a sums call's per-point temporaries:
-    (boxes, points, segment starts, powers, box of each point) per group.
-    The points of the boxes (of counts[boxes] each) lie at pts (indices, or
-    a slice) of the transform and at the columns of the power table fp, in
-    order."""
+def _fgt_groups(sparse, counts, powers) -> list:
+    """The sparse boxes of _fgt_transform (where sparse holds, of counts
+    points each) in groups of whole boxes of about _FGT_BLOCK points, which
+    bounds a sums call's per-point temporaries: (boxes, points, segment
+    starts, powers, box of each point) per group, the points as indices of
+    the transform and their columns of the power table gathered
+    (point-major), in order."""
+    boxes = np.flatnonzero(sparse)
     if not boxes.size:
         return []
+    pts = np.flatnonzero(np.repeat(sparse, counts))
+    fp = powers[:, pts]
     counts = counts[boxes]
     at = np.cumsum(counts) - counts
     box = np.repeat(boxes, counts)
-    if box.size <= _FGT_BLOCK:
-        return [(boxes, pts, at, fp, box)]
     b_edges = [0] + (np.flatnonzero(np.diff(at // _FGT_BLOCK)) + 1).tolist()
     p_edges = at[b_edges].tolist() + [box.size]
     b_edges.append(boxes.size)
-    out = []
-    for b0, b1, p0, p1 in zip(b_edges, b_edges[1:], p_edges, p_edges[1:]):
-        c = (slice(pts.start + p0, pts.start + p1) if isinstance(pts, slice)
-             else pts[p0:p1])
-        out.append((boxes[b0:b1], c, at[b0:b1] - p0, fp[:, p0:p1],
-                    box[p0:p1]))
-    return out
+    return [(boxes[b0:b1], pts[p0:p1], at[b0:b1] - p0, fp[:, p0:p1],
+             box[p0:p1]) for b0, b1, p0, p1 in zip(
+                 b_edges, b_edges[1:], p_edges, p_edges[1:])]
 
 
 def _gauss_sums(r: np.ndarray, h: float):
@@ -792,24 +747,25 @@ def lambda_min_hessian(spec: LossSpec, op: SensingOperator, b: np.ndarray,
     steps = min(iters, n * (n + 1) // 2)
     basis = np.empty((steps + 1, n * n))
     basis[0] = (v / np.linalg.norm(v)).ravel()
-    alpha, beta = [], []
+    tri = np.zeros((steps + 1, steps + 1))          # T_k is tri[:k+1, :k+1]
     for k in range(steps):
         u = adjoint_op(op, hess(apply_op(op, basis[k].reshape(n, n)))).ravel()
-        alpha.append(float(basis[k] @ u))
+        alpha = float(basis[k] @ u)
         # Classical Gram-Schmidt twice against the whole basis; this also
         # removes the three-term recurrence's alpha and beta components.
         for _ in range(2):
             u -= basis[:k + 1].T @ (basis[:k + 1] @ u)
-        beta.append(float(np.linalg.norm(u)))
-        if not math.isfinite(alpha[-1] + beta[-1]):       # non-finite H
+        beta = float(np.linalg.norm(u))
+        if not math.isfinite(alpha + beta):                 # non-finite H
             return LambdaMinResult(value=math.nan, converged=False,
                                    iterations=k + 1)
-        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1)
-                                  + np.diag(beta[:-1], -1))
+        tri[k, k] = alpha
+        tri[k, k + 1] = tri[k + 1, k] = beta
+        theta, s = np.linalg.eigh(tri[:k + 1, :k + 1])
         value = float(theta[0])
-        if (beta[-1] <= 1e-12 * max(abs(theta[0]), abs(theta[-1]))
-                or beta[-1] * abs(s[-1, 0]) <= 1e-8 * max(1.0, abs(value))):
+        if (beta <= 1e-12 * max(abs(theta[0]), abs(theta[-1]))
+                or beta * abs(s[-1, 0]) <= 1e-8 * max(1.0, abs(value))):
             return LambdaMinResult(value=value, converged=True,
                                    iterations=k + 1)
-        basis[k + 1] = u / beta[-1]
+        basis[k + 1] = u / beta
     return LambdaMinResult(value=value, converged=False, iterations=steps)

@@ -171,7 +171,8 @@ class NoiseModel:
         for key in self._PARAMS[self.kind]:
             if key not in p:
                 raise ValueError(f"{self.kind} noise needs parameter {key!r}")
-            if not (isinstance(p[key], numbers.Real) and math.isfinite(p[key])):
+            if not (isinstance(p[key], numbers.Real)
+                    and not isinstance(p[key], bool) and math.isfinite(p[key])):
                 raise ValueError(f"noise parameter {key} must be a finite "
                                  f"number, got {p[key]!r}")
         if self.kind == "gaussian" and p["sigma"] < 0:
@@ -612,6 +613,8 @@ def instance_from_json(text: str) -> ProblemInstance:
             and doc.get("format") == "kernsense-instance-v1"):
         raise ValueError("not a kernsense instance document")
     n, r, m, seed = (_doc_value(doc, k, int) for k in ("n", "r", "m", "seed"))
+    if seed < 0:
+        raise ValueError(f"instance key 'seed' must be >= 0, got {seed}")
     spectrum = _doc_value(doc, "spectrum", list)
     if not all(isinstance(s, (int, float)) and not isinstance(s, bool)
                for s in spectrum):

@@ -278,6 +278,8 @@ _MALFORMED_INSTANCES = [
     (("spectrum",), ["2", 1], "'spectrum'"),
     (("spectrum",), 2.0, "'spectrum'"),
     ((), [1, 2], "not a kernsense instance document"),
+    (("seed",), -1, "'seed' must be >= 0"),
+    (("noise", "params", "sigma"), True, "noise parameter sigma"),
 ]
 
 
@@ -287,7 +289,8 @@ _MALFORMED_INSTANCES = [
     for path, value, _ in _MALFORMED_INSTANCES])
 def test_solve_malformed_instance_writes_nothing(tmp, capsys, path, value,
                                                  named):
-    # Each case raised KeyError, TypeError or AttributeError (exit 1).
+    # Each case raised KeyError, TypeError or AttributeError (exit 1),
+    # named no key (a negative seed) or loaded (a bool sigma, as 1.0).
     doc = json.loads(instance_to_json(make_instance(
         6, 2, 40, (2, 1), NoiseModel.gaussian(0.1), seed=3)))
     if path:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -710,18 +711,44 @@ class TestLambdaMin:
 # Stacks of residual rows
 # ---------------------------------------------------------------------------
 
-def _stack_rows(data, m, k):
-    """k residual rows of sample_residuals' kinds, some with ties, some
-    equal to an earlier row, some with a far outlier, and at most one with
-    a NaN."""
+def _box_counts(r, h):
+    """Points per occupied box of the fast path's h/2 grid for one row of
+    a single cluster (the first box centred on its minimum)."""
+    return np.unique(np.floor((r - r.min()) / (0.5 * h) + 0.5),
+                     return_counts=True)[1]
+
+
+def _narrow_row(rng, m, h):
+    """m residuals all inside one box of the h/2 grid."""
+    return 1.0 + 0.2 * h * rng.random(m)
+
+
+def _wide_row(rng, m, h):
+    """m residuals over ~120 boxes of the h/2 grid, each box sparse."""
+    return h * rng.uniform(0.0, 60.0, m)
+
+
+def _stack_rows(data, m, k, h):
+    """k residual rows of sample_residuals' kinds or narrow (one box) or
+    wide (more than 64 boxes) at bandwidth h, some with ties, some equal to
+    an earlier row, some with a far outlier, and at most one with a NaN.
+    The narrow and wide rows put a row's translation at the widths where
+    BLAS changes kernels: a matrix-vector product, and past small-matrix
+    sizes."""
     rows = []
     for i in range(k):
         if rows and data.draw(st.booleans(), label=f"equal {i}"):
             rows.append(rows[data.draw(st.integers(0, len(rows) - 1))].copy())
             continue
-        r = sample_residuals(
-            data.draw(st.sampled_from(["normal", "student_t", "cauchy"])), m,
-            data.draw(st.integers(0, 2**32 - 1), label=f"seed {i}"))
+        kind = data.draw(st.sampled_from(
+            ["normal", "student_t", "cauchy", "narrow", "wide"]))
+        seed = data.draw(st.integers(0, 2**32 - 1), label=f"seed {i}")
+        if kind == "narrow":
+            r = _narrow_row(np.random.default_rng(seed), m, h)
+        elif kind == "wide":
+            r = _wide_row(np.random.default_rng(seed), m, h)
+        else:
+            r = sample_residuals(kind, m, seed)
         edit = data.draw(st.sampled_from(["none", "ties", "outlier"]))
         if edit == "ties":
             r = np.round(r, 1)
@@ -751,7 +778,7 @@ class TestStackedRows:
     @given(data=st.data(), m=st.integers(_FGT_MIN_M - 60, _FGT_MIN_M + 400),
            k=st.integers(1, 12), h=st.floats(0.1, 2.0))
     def test_rows_do_not_depend_on_the_stack(self, data, m, k, h):
-        R = _stack_rows(data, m, k)
+        R = _stack_rows(data, m, k, h)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         V = rng.standard_normal(R.shape)
         values, grads, hvps = _kernel_rows(R, h, V)
@@ -777,6 +804,27 @@ class TestStackedRows:
             assert abs(g.sum()) < 1e-10
             assert (np.linalg.norm(hu - hu_ref)
                     <= 1e-10 * np.linalg.norm(hu_ref))
+
+    def test_one_box_wide_and_dense_rows_in_one_stack(self):
+        # A row of one box, an all-sparse row of more than 64 boxes and a
+        # row with dense and sparse boxes share one transform; in every
+        # order each row gets the bits of its own call.
+        m, h = 600, 0.5
+        rng = np.random.default_rng(12)
+        R = np.array([_narrow_row(rng, m, h), _wide_row(rng, m, h),
+                      rng.standard_normal(m)])
+        narrow, wide, mixed = (_box_counts(r, h) for r in R)
+        assert narrow.size == 1
+        assert wide.size > 64 and wide.max() < 2 * _FGT_TERMS
+        assert mixed.min() < 2 * _FGT_TERMS <= mixed.max()
+        assert R.size <= losses._FGT_CHUNK
+        V = rng.standard_normal(R.shape)
+        alone = [_kernel_rows(r, h, v) for r, v in zip(R, V)]
+        for perm in itertools.permutations(range(3)):
+            perm = list(perm)
+            for i, got in zip(perm, zip(*_kernel_rows(R[perm], h, V[perm]))):
+                for a, b in zip(alone[i], got):
+                    assert np.array_equal(a, b)
 
     def test_one_transform_per_bandwidth(self, monkeypatch):
         # A stacked solve's evaluation and an estimate_rho call over a spec

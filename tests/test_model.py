@@ -325,6 +325,7 @@ class TestNoise:
         lambda: NoiseModel("uniform", {"a": 0.0}),
         lambda: NoiseModel("student_t", {"scale": 1.0}),
         lambda: NoiseModel("gaussian", {"sigma": "0.1"}),
+        lambda: NoiseModel("gaussian", {"sigma": True}),
     ])
     def test_invalid_params(self, bad):
         with pytest.raises(ValueError):
