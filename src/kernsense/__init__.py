@@ -2,8 +2,8 @@
 
 Subpackages by concern: model (problem generation), losses (values and
 derivatives), optimize (gradient descent and step-size rules), empirics
-(constant estimation), bounds (closed-form calculators), cli (command-line
-front end), verify (invariant suite).
+(constant estimation), bounds (closed-form calculators), sweep (noise
+sweep), verify (invariant suite); cli parses arguments and calls them.
 """
 
 from .model import (GroundTruth, NoiseModel, ProblemInstance, RipEstimate,

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import record_acceptance
 from kernsense import bounds as bd
-from kernsense.cli import SweepConfig, run_sweep
 from kernsense.empirics import (estimate_lambda12, estimate_rho,
                                 estimate_zeta2, finite_diff_check)
 from kernsense.losses import (LossSpec, grad_residual, hessian_quadratic_form,
@@ -23,6 +22,7 @@ from kernsense.optimize import (ConvergenceBoundInputs, SolverConfig,
                                 auto_step_size, error_frobenius,
                                 gradient_descent, spectral_init,
                                 step_size_bound)
+from kernsense.sweep import SweepConfig, run_sweep
 
 
 def _criterion(number, description):
@@ -239,7 +239,7 @@ def test_criterion_7_trend_reproduction():
             noise_kind="student_t", noise_params={"dof": 2.0, "scale": 1.0},
             delta_regime="low", base_seed=7, max_iters=300, eta="auto_rho",
             init_scale=0.05, const_samples=8, workers=1)
-        from kernsense.cli import _trial_base
+        from kernsense.sweep import _trial_base
         for t in range(config.trials):
             delta_t = _trial_base(config, t)[2]
             assert delta_t < 1.0 / 3.0, f"trial {t} delta {delta_t}"

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from kernsense.cli import (SWEEP_CSV_HEADER, SweepConfig, build_parser, main,
-                           run_sweep, sweep_csv)
+from kernsense.cli import build_parser, main
 from kernsense.model import (NoiseModel, instance_from_json, instance_to_json,
                              make_instance, prob_norm_bound)
+from kernsense.sweep import SWEEP_CSV_HEADER, SweepConfig, run_sweep, sweep_csv
 
 
 @pytest.fixture()
@@ -672,6 +672,41 @@ def test_sweep_diverging_cell_is_flagged_not_warned():
     assert all(r.real_error == math.inf for r in rows)
 
 
+def test_sweep_bound_that_is_not_finite_reads_nan():
+    # A diverged combined cell's bound is computed from an infinite loss;
+    # the CSV reads nan for it, not inf.
+    rows = run_sweep(SweepConfig(n=6, r=2, losses=("combined",),
+                                 eps_grid=(0.5,), trials=1, eta=1e3,
+                                 max_iters=200))
+    assert sweep_csv(rows).splitlines()[1].split(",")[3] == "nan"
+
+
+def test_sweep_flags_name_a_budget_stop():
+    # A row reads ok only when every trial's solve reached grad_tol.
+    rows = run_sweep(SweepConfig(n=6, r=2, m=60, eps_grid=(0.3, 0.9),
+                                 trials=2, max_iters=2))
+    assert len(rows) == 6
+    assert all("max_iters" in r.flags.split(";") for r in rows)
+
+
+@pytest.mark.parametrize("argv,engine", [
+    (["sweep", "--n", "6", "--rank", "2", "--trials", "1"], "run_sweep"),
+    (["verify"], "run_verification"),
+])
+def test_out_into_a_missing_directory_exit_two_before_any_work(
+        tmp, capsys, monkeypatch, argv, engine):
+    import kernsense.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{engine} ran")
+
+    monkeypatch.setattr(cli, engine, never)
+    out = tmp / "nodir" / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_sweep_threads_do_not_change_the_csv():
     # run_sweep promises that the thread count cannot change the result.
     cfg = SweepConfig(n=8, r=2, m=300, eps_grid=(0.5, 0.9), trials=2,
@@ -685,18 +720,18 @@ def test_sweep_threads_do_not_change_the_csv():
 def test_sweep_stacked_solves_match_bare_solves(monkeypatch):
     # A trial solves all its cells in one stacked call; a sweep that solves
     # each cell alone differs only in the operator products' rounding.
-    import kernsense.cli as cli
+    import kernsense.sweep as sweep
     cfg = SweepConfig(n=6, r=2, m=301, h=0.4, lambda_mix=0.3,
                       eps_grid=(0.3, 0.6, 0.9), trials=2, max_iters=40,
                       noise_kind="student_t",
                       noise_params={"dof": 2.0, "scale": 1.0}, base_seed=3)
     rows = run_sweep(cfg)
-    stacked = cli.gradient_descent
+    stacked = sweep.gradient_descent
 
     def one_at_a_time(insts, specs, configs):
         return tuple(stacked(*p) for p in zip(insts, specs, configs))
 
-    monkeypatch.setattr(cli, "gradient_descent", one_at_a_time)
+    monkeypatch.setattr(sweep, "gradient_descent", one_at_a_time)
     for row, ref in zip(rows, run_sweep(cfg), strict=True):
         assert (row.loss, row.epsilon, row.lipschitz_L, row.hessian_H,
                 row.flags) == (ref.loss, ref.epsilon, ref.lipschitz_L,
@@ -708,15 +743,15 @@ def test_sweep_stacked_solves_match_bare_solves(monkeypatch):
 def test_sweep_makes_one_rho_call_per_trial(monkeypatch):
     # rho's pairs depend on the trial's seed and ||M*|| alone, so one call
     # covers the whole epsilon grid of a trial.
-    import kernsense.cli as cli
+    import kernsense.sweep as sweep
     calls = []
-    real = cli.estimate_rho
+    real = sweep.estimate_rho
 
     def counted(spec, op, b, *args, **kwargs):
         calls.append(np.shape(b))
         return real(spec, op, b, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "estimate_rho", counted)
+    monkeypatch.setattr(sweep, "estimate_rho", counted)
     cfg = SweepConfig(n=6, r=2, m=60, eps_grid=(0.3, 0.6, 0.9), trials=2,
                       max_iters=5, eta=0.01)
     run_sweep(cfg)

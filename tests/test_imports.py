@@ -1,6 +1,7 @@
 """Every name a kernsense module or test module imports is used there,
-`import kernsense` loads only the library's core modules, and the
-estimators in empirics leave every loss kind's formulas to losses.
+`import kernsense` loads only the library's core modules, the
+estimators in empirics leave every loss kind's formulas to losses, and
+the sweep engine and its command-line front import in one direction.
 
 A stdlib-ast stand-in for a linter's unused-import rule.  The package's
 __init__.py is exempt (its imports are the re-exports), and so are
@@ -90,6 +91,33 @@ def test_empirics_leaves_loss_kinds_to_losses():
     assert loss_kind_uses((SRC / "empirics.py").read_text()) == []
 
 
+def package_imports(source: str) -> set:
+    """Names of the package modules a kernsense module imports (relative
+    imports, as the package writes them)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module] if node.module
+                       else [a.name for a in node.names])
+    return out
+
+
+def test_finds_package_imports():
+    src = ("import numpy as np\n"
+           "from . import bounds as bd\n"
+           "from .sweep import SweepConfig\n"
+           "def f():\n"
+           "    from .verify import run_verification\n")
+    assert package_imports(src) == {"bounds", "sweep", "verify"}
+
+
+def test_sweep_and_cli_import_in_one_direction():
+    # cli is a front end over the library: the sweep engine must not reach
+    # back into it, and cli reaches the estimators only through sweep.
+    assert "cli" not in package_imports((SRC / "sweep.py").read_text())
+    assert "empirics" not in package_imports((SRC / "cli.py").read_text())
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -97,7 +125,8 @@ def test_no_unused_imports(path):
 
 def test_package_import_loads_only_the_library_core():
     # `import kernsense` compiles and runs every module it loads, in every
-    # fresh interpreter; bounds, cli and verify load only when asked for.
+    # fresh interpreter; bounds, cli, sweep and verify load only when asked
+    # for.
     code = ("import sys, kernsense; print(' '.join(sorted("
             "m for m in sys.modules if m.split('.')[0] == 'kernsense')))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
