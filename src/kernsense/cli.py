@@ -43,7 +43,9 @@ def _number(text: str, flag: str, item: str) -> float:
 
 
 def _check_out_dir(path) -> None:
-    """Stop a run whose output file has no directory before any work."""
+    """Stop a run whose output file cannot be written before any work."""
+    if path and Path(path).is_dir():
+        raise ValueError(f"cannot write {path}: it is a directory")
     if path and not Path(path).parent.is_dir():
         raise ValueError(f"cannot write {path}: no such directory")
 

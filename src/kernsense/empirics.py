@@ -36,10 +36,10 @@
 # -A*(g) and Hessian forms <A(K), H A(L)> are kernel work from losses
 # assembled by losses._derivative.  The noise enters only through the
 # residuals, so the Hessian's noise sensitivity is
-# <A(K), (H(r + w1) - H(r + w2)) A(L)>.  The MSE takes _derivative's scale
-# (gradient -2 A*(r), Hessian 2 A*A): rho then equals 2 ||A*A|| on the
-# restricted set, the gradient-vs-noise coupling is 2 A*(w), and
-# zeta2 = lambda2 = 0 exactly.
+# <A(K), (H(r + w1) - H(r + w2)) A(L)>.  The MSE is losses' 0.5 sum(r_i^2)
+# (gradient -A*(r), Hessian A*A): rho equals ||A*A|| on the restricted set,
+# the gradient-vs-noise coupling is A*(w), zeta2 = lambda2 = 0 exactly, and
+# only ConstantEstimates.l1 = 2(1 + delta) keeps bounds' sum(r_i^2) scale.
 
 from __future__ import annotations
 
@@ -169,8 +169,8 @@ def estimate_zeta2(spec: LossSpec, op: SensingOperator, b, M_base,
                    samples: int, seed: int, mag_range=None,
                    scale: float = 1.0, rank: int = 2) -> float:
     """Sampled sup of |[Hess(M, w) - Hess(M, 0)](K, L)| / ||w||, sampled as
-    in estimate_zeta1.  For the MSE the Hessian is 2 A*A independent of the
-    measurements, so the difference is exactly zero.
+    in estimate_zeta1.  For the MSE (0.5 sum(r_i^2)) the Hessian is A*A
+    independent of the measurements, so the difference is exactly zero.
     """
     stacks = _noise_samples(op, b, M_base, samples, seed, mag_range, scale,
                             rank, 2)

@@ -11,15 +11,15 @@
 #
 # Each loss is defined once, in residual space, by its value, gradient g
 # and Hessian-vector product H v; _derivative alone assembles each kind's
-# g and H v from its kernel work.  The MSE's two scales sit side by side
-# here: 0.5 sum(r_i^2), gradient r (_loss_rows: values and solves), and
-# sum(r_i^2), gradient 2r, Hessian 2I (_derivative: curvature and
-# Lipschitz quantities); ROADMAP item 4 is to choose one.  r = b - A(M) is
-# affine in M, so matrix space composes with A and its adjoint A*:
-# gradient -A*(g), Hessian A*(H A(K)), quadratic form <A(K), H A(K)>.  All
-# derivatives are exact (the kernel HVP is the forward-mode derivative of
-# its gradient, cf. Pearlmutter 1994); finite differences live only in the
-# gradient oracle empirics.finite_diff_check and in the tests.
+# g and H v from its kernel work.  The MSE has one scale, 0.5 sum(r_i^2)
+# with g = r and H = I, for values, solves, curvature and estimators; only
+# the paper's constants in bounds (and empirics.ConstantEstimates.l1 =
+# 2(1 + delta)) take it as sum(r_i^2).  r = b - A(M) is affine in M, so
+# matrix space composes with A and its adjoint A*: gradient -A*(g),
+# Hessian A*(H A(K)), quadratic form <A(K), H A(K)>.  All derivatives are
+# exact (the kernel HVP is the forward-mode derivative of its gradient,
+# cf. Pearlmutter 1994); finite differences live only in the gradient
+# oracle empirics.finite_diff_check and in the tests.
 #
 # The MSE also has a normal-equations form, model.normal_products: its
 # matrix-space gradient -A*(r) = A*A(M) - A*(b) is affine, so with G = A*A
@@ -349,11 +349,8 @@ def _fgt_transform(x: np.ndarray, cuts: np.ndarray, h: float, shape):
     new = np.concatenate(([True], gap > _FGT_REACH * h))
     new[cuts] = True
     heads = np.flatnonzero(new)                         # cluster starts
-    if heads.size == 1:
-        x = (x - x[0]) / (0.5 * h)
-    else:
-        sizes = np.diff(np.append(heads, n))
-        x = (x - np.repeat(x[heads], sizes)) / (0.5 * h)
+    sizes = np.diff(np.append(heads, n))
+    x = (x - np.repeat(x[heads], sizes)) / (0.5 * h)
     box = np.floor(x + 0.5)
     s = x - box                                         # in [-1/2, 1/2]
     box = box.astype(np.int64)
@@ -542,15 +539,15 @@ def _derivative(spec: LossSpec, x: np.ndarray, kernel_part,
                 hvp: bool = False) -> np.ndarray:
     """spec's residual gradient at x = r from the kernel gradient there, or
     with hvp its Hessian-vector product along x = v from H_kernel v: for
-    the MSE 2x (of sum(r_i^2), Hessian 2I; the kernel part is unused), for
-    the kernel loss the kernel part, and for the combined loss lam (2/m) r,
-    or (2 lam/m) v, from the mean square (1/m) sum(r_i^2), plus (1 - lam)
-    times the kernel part.  Row by row of a stack too, with the same bits.
-    The two mean-square terms round in different orders; stored sweep
-    results depend on both, bit for bit.
+    the MSE a copy of x (of 0.5 sum(r_i^2), Hessian I; the kernel part is
+    unused), for the kernel loss the kernel part, and for the combined loss
+    lam (2/m) r, or (2 lam/m) v, from the mean square (1/m) sum(r_i^2),
+    plus (1 - lam) times the kernel part.  Row by row of a stack too, with
+    the same bits.  The two mean-square terms round in different orders;
+    stored sweep results depend on both, bit for bit.
     """
     if spec.kind == MSE:
-        return 2.0 * x
+        return x.copy()
     if spec.kind == KERNEL:
         return kernel_part
     lam, m = spec.lambda_mix, x.shape[-1]
@@ -565,30 +562,31 @@ def _kernel_work(specs, work) -> dict:
 
 
 def _loss_rows(specs, R: np.ndarray, grad: bool):
-    """Values (an array) and, if grad, residual gradients (a stack, else
-    None) of specs[i] at row i of the stack R, with one kernel evaluation
-    per bandwidth for all the rows that need it.  The MSE here is
-    0.5 sum(r_i^2) with gradient r, not _derivative's sum(r_i^2): choosing
-    one scale is ROADMAP item 4."""
+    """Values (an array) and, if grad, residual gradients (_derivative's;
+    a stack, else None) of specs[i] at row i of the stack R, the MSE's value
+    at 0.5 sum(r_i^2), with one kernel evaluation per bandwidth for all the
+    rows that need it (on R itself when one bandwidth serves every row)."""
     kernel_rows = {}
     for i, spec in enumerate(specs):
         if spec.kind != MSE:
             kernel_rows.setdefault(spec.h, []).append(i)
-    values, G = np.empty(len(R)), np.empty(R.shape) if grad else None
-    for h, rows in kernel_rows.items():
-        values[rows], kg = _kernel(R[rows], h, grad)
-        if grad:
-            G[rows] = kg
+    if [len(rows) for rows in kernel_rows.values()] == [len(R)]:
+        (h,) = kernel_rows
+        values, G = _kernel(R, h, grad)
+    else:
+        values, G = np.empty(len(R)), np.empty(R.shape) if grad else None
+        for h, rows in kernel_rows.items():
+            values[rows], kg = _kernel(R[rows], h, grad)
+            if grad:
+                G[rows] = kg
     for i, (spec, r) in enumerate(zip(specs, R)):
         if spec.kind == MSE:
             values[i] = 0.5 * float(r @ r)
-            if grad:
-                G[i] = r
         elif spec.kind == COMBINED:
             lam = spec.lambda_mix
             values[i] = lam * (float(r @ r) / r.size) + (1.0 - lam) * values[i]
-            if grad:
-                G[i] = _derivative(spec, r, G[i])
+        if grad:
+            G[i] = _derivative(spec, r, G[i])
     return values, G
 
 
@@ -635,7 +633,7 @@ def grad_residual(spec: LossSpec, r: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grad_residual(spec: LossSpec, r: np.ndarray):
-    """Value and residual gradient from one kernel evaluation (hot path)."""
+    """Value and residual gradient from one kernel evaluation."""
     return _value_and_grad(spec, r, grad=True)
 
 
@@ -649,11 +647,10 @@ def _residual_hessian(spec: LossSpec, r: np.ndarray):
 def hvp_residual(spec: LossSpec, r: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Residual-space Hessian-vector product H v at r, for one residual
     vector or at each row of a stack along the same row of v: one Hessian
-    build and product per chunk of rows (_row_chunks).  Kernel and
-    combined: the exact directional derivative of grad_residual along v.
-    MSE: H = 2I, _derivative's scale, under which the landscape facts hold
-    (smallest Hessian eigenvalue 2(1 - delta), gradient-Lipschitz constant
-    2(1 + delta)).
+    build and product per chunk of rows (_row_chunks): the exact
+    directional derivative of grad_residual along v for every kind.  The
+    MSE's is H = I (a copy of v), so its matrix-space Hessian A*A has
+    restricted eigenvalues in [1 - delta, 1 + delta].
     """
     r = np.asarray(r, dtype=float)
     v = np.asarray(v, dtype=float)

@@ -98,7 +98,8 @@ def step_size_bound(spec: LossSpec, inputs: ConvergenceBoundInputs) -> float:
     MSE:     1 / (12 rho sqrt(r) (2(sqrt(2)-1) sqrt(1-s^2) + ||M^w||_F))
     kernel:  h^2 times the MSE value for the same inputs,
     with s = delta + zeta2 * eps < 1 required.  For the combined loss the
-    conservative min of the two rules is used (no dedicated theory).
+    conservative min of the two rules is used (no dedicated theory).  rho
+    is at losses' scale, for the MSE that of 0.5 sum(r_i^2).
     """
     s = inputs.delta + inputs.zeta2 * inputs.eps
     if s >= 1.0:

@@ -190,7 +190,7 @@ def _check_mse_lambda_min_basis(seed):
     op = orthonormal_basis_operator(4)
     res = lambda_min_hessian(LossSpec.mse(), op, np.zeros(16), np.eye(4),
                              iters=200, seed=seed)
-    return abs(res.value - 2.0) < 1e-6 and res.converged, \
+    return abs(res.value - 1.0) < 1e-6 and res.converged, \
         f"lambda_min {res.value:.9f}"
 
 

@@ -112,9 +112,9 @@ def test_criterion_3_noise_sensitivity():
 
 
 def test_criterion_4_mse_hessian_facts():
-    """Constant Hessian, curvature floor 2(1-delta), exact isometry value."""
-    with _criterion(4, "mse Hessian facts: M-independent, floor 2(1-delta), "
-                       "exactly 2 on the isometry") as ctx:
+    """Constant Hessian, curvature floor 1-delta, exact isometry value."""
+    with _criterion(4, "mse Hessian facts: M-independent, floor 1-delta, "
+                       "exactly 1 on the isometry") as ctx:
         inst = make_instance(6, 2, 500, (2, 1), NoiseModel.gaussian(0.05),
                              seed=1002)
         rng = np.random.default_rng(1003)
@@ -132,16 +132,16 @@ def test_criterion_4_mse_hessian_facts():
         delta_full = full_rank_defect(inst.op)
         res = lambda_min_hessian(LossSpec.mse(), inst.op, inst.measurements,
                                  inst.truth.matrix, iters=300, seed=4)
-        assert res.value >= 2.0 * (1.0 - delta_full) - 1e-6
+        assert res.value >= 1.0 - delta_full - 1e-6
         sampled = estimate_rip(inst.op, 4, 100, seed=5).delta_hat
         assert sampled <= delta_full
 
         op0 = orthonormal_basis_operator(4)
         res0 = lambda_min_hessian(LossSpec.mse(), op0, np.zeros(16),
                                   np.eye(4), iters=200, seed=6)
-        assert abs(res0.value - 2.0) < 1e-6
+        assert abs(res0.value - 1.0) < 1e-6
         ctx.detail = (f"lambda_min {res.value:.4f} >= "
-                      f"{2 * (1 - delta_full) - 1e-6:.4f}; isometry "
+                      f"{1 - delta_full - 1e-6:.4f}; isometry "
                       f"{res0.value:.9f}")
 
 
@@ -322,9 +322,9 @@ def test_criterion_8_closed_form_spot_checks():
 
 
 def test_criterion_9_empirics_sanity():
-    """Structural MSE facts: zeta2 and lambda2 vanish; rho = 2 on isometry."""
+    """Structural MSE facts: zeta2 and lambda2 vanish; rho = 1 on isometry."""
     with _criterion(9, "empirics sanity: mse zeta2 < 1e-6, lambda2 < 1e-6, "
-                       "rho = 2 on the isometry") as ctx:
+                       "rho = 1 on the isometry") as ctx:
         inst = make_instance(8, 2, 160, (2, 1), NoiseModel.gaussian(0.1),
                              seed=1006)
         z2 = estimate_zeta2(LossSpec.mse(), inst.op, inst.measurements,
@@ -337,7 +337,7 @@ def test_criterion_9_empirics_sanity():
         op0 = orthonormal_basis_operator(4)
         rho = estimate_rho(LossSpec.mse(), op0, np.zeros(16), samples=30,
                            seed=10)
-        assert abs(rho - 2.0) < 1e-9
+        assert abs(rho - 1.0) < 1e-9
         ctx.detail = f"zeta2 {z2:.1e}, lambda2 {lam2:.1e}, rho {rho:.12f}"
 
 

@@ -689,10 +689,15 @@ def test_sweep_flags_name_a_budget_stop():
     assert all("max_iters" in r.flags.split(";") for r in rows)
 
 
-@pytest.mark.parametrize("argv,engine", [
+# The two commands that write an --out file, each with the engine that does
+# their work.
+OUT_COMMANDS = pytest.mark.parametrize("argv,engine", [
     (["sweep", "--n", "6", "--rank", "2", "--trials", "1"], "run_sweep"),
     (["verify"], "run_verification"),
 ])
+
+
+@OUT_COMMANDS
 def test_out_into_a_missing_directory_exit_two_before_any_work(
         tmp, capsys, monkeypatch, argv, engine):
     import kernsense.cli as cli
@@ -705,6 +710,24 @@ def test_out_into_a_missing_directory_exit_two_before_any_work(
     assert main(argv + ["--out", str(out)]) == 2
     assert str(out) in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+@OUT_COMMANDS
+def test_out_naming_a_directory_exit_two_before_any_work(
+        tmp, capsys, monkeypatch, argv, engine):
+    import kernsense.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{engine} ran")
+
+    monkeypatch.setattr(cli, engine, never)
+    out = tmp / "adir"
+    out.mkdir()
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write {out}: it is a directory" in captured.err
+    assert not any(out.iterdir())
 
 
 def test_sweep_threads_do_not_change_the_csv():

@@ -12,10 +12,10 @@ from kernsense.empirics import (_hess_gaps, estimate_constants,
                                 estimate_lambda12, estimate_rho,
                                 estimate_zeta1, estimate_zeta2,
                                 finite_diff_check, residual_constants)
-from kernsense.losses import (_FGT_MIN_M, MSE, LossSpec, _derivative,
+from kernsense.losses import (_FGT_MIN_M, LossSpec, _derivative,
                               _kernel_work, grad_M, grad_residual,
                               hvp_residual, kernel_row_means)
-from kernsense.model import (_OP_BLOCK, NoiseModel, adjoint_op, apply_op,
+from kernsense.model import (_OP_BLOCK, NoiseModel, apply_op,
                              estimate_rip, make_instance,
                              orthonormal_basis_operator,
                              random_low_rank_symmetric)
@@ -28,13 +28,13 @@ def inst():
 
 class TestZeta1:
     def test_mse_respects_analytic_cap(self, inst):
-        # Gradient difference for the sum-normalized square loss is exactly
-        # 2 A*(w), so the sampled sup cannot exceed 2 sqrt(1+delta) for the
+        # Gradient difference for the square loss 0.5 sum(r_i^2) is exactly
+        # A*(w), so the sampled sup cannot exceed sqrt(1+delta) for the
         # true constant; allow 5% on top of the sampled delta.
         delta = estimate_rip(inst.op, 4, 200, seed=1).delta_hat
         z1 = estimate_zeta1(LossSpec.mse(), inst.op, inst.measurements,
                             inst.truth.matrix, samples=500, seed=2)
-        assert 0.0 < z1 <= 2.0 * math.sqrt(1.0 + delta) * 1.05
+        assert 0.0 < z1 <= math.sqrt(1.0 + delta) * 1.05
 
     def test_zero_noise_gives_zero(self, inst):
         z1 = estimate_zeta1(LossSpec.mse(), inst.op, inst.measurements,
@@ -72,10 +72,10 @@ class TestZeta2:
 
 
 class TestRho:
-    def test_orthonormal_basis_exact_two(self):
+    def test_orthonormal_basis_exact_one(self):
         op = orthonormal_basis_operator(4)
         rho = estimate_rho(LossSpec.mse(), op, np.zeros(16), samples=30, seed=9)
-        assert abs(rho - 2.0) < 1e-9
+        assert abs(rho - 1.0) < 1e-9
 
     def test_nested_monotone_and_deterministic(self, inst):
         a = estimate_rho(LossSpec.kernel(1.0), inst.op, inst.measurements,
@@ -159,7 +159,7 @@ class TestSharedSamples:
     def test_shared_kernel_work_equals_one_loss_functions(self, m, seed, h,
                                                           lam, own_h):
         # The quantities mixed from shared kernel results are bit for bit
-        # those of losses' one-loss functions (the MSE's gradient is 2r).
+        # those of losses' one-loss functions.
         rng = np.random.default_rng(seed)
         r = rng.standard_t(2.0, (3, m))
         ak, al = rng.standard_normal((2, m))
@@ -167,8 +167,7 @@ class TestSharedSamples:
                  LossSpec.combined(lam, 1.7 * h if own_h else h))
         kernel = _kernel_work(specs, lambda k: grad_residual(k, r))
         for spec in specs:
-            want = (2.0 * r if spec.kind == MSE
-                    else np.array([grad_residual(spec, row) for row in r]))
+            want = np.array([grad_residual(spec, row) for row in r])
             assert np.array_equal(_derivative(spec, r, kernel.get(spec.h)),
                                   want)
         for spec, gap in zip(specs, _hess_gaps(specs, r[0], r[1], ak, al)):
@@ -278,12 +277,6 @@ class TestConstantEstimates:
 # gradient its own A(M).
 # ---------------------------------------------------------------------------
 
-def _ref_grad(spec, op, b, M):
-    if spec.kind == MSE:
-        return -2.0 * adjoint_op(op, np.asarray(b) - apply_op(op, M))
-    return grad_M(spec, op, b, M)
-
-
 def _ref_hess_gap(spec, op, r1, r2, K, L):
     al = apply_op(op, L)
     return float(apply_op(op, K) @ (hvp_residual(spec, r1, al)
@@ -319,8 +312,8 @@ def _ref_zeta1(spec, op, b, M_base, samples, seed, scale, rank):
     best = 0.0
     for M, (K,), w, nw in _ref_noise_samples(op, b, M_base, samples, seed,
                                              scale, rank, 1):
-        diff = _ref_grad(spec, op, np.asarray(b) + w, M) \
-            - _ref_grad(spec, op, b, M)
+        diff = grad_M(spec, op, np.asarray(b) + w, M) \
+            - grad_M(spec, op, b, M)
         best = max(best, abs(float(np.sum(diff * K))) / nw)
     return best
 
@@ -345,7 +338,7 @@ def _ref_rho(spec, op, b, samples, seed, rank, scale):
         dn = np.linalg.norm(M - Mp)
         if dn < 1e-12:
             continue
-        diff = _ref_grad(spec, op, b, M) - _ref_grad(spec, op, b, Mp)
+        diff = grad_M(spec, op, b, M) - grad_M(spec, op, b, Mp)
         best = max(best, float(np.linalg.norm(diff)) / dn)
     return best
 
@@ -361,8 +354,8 @@ def _ref_lambda12(spec, op, b, M, samples, seed, rank):
         dw = np.linalg.norm(w1 - w2)
         if dw < 1e-12:
             continue
-        g1 = _ref_grad(spec, op, np.asarray(b) + w1, M)
-        g2 = _ref_grad(spec, op, np.asarray(b) + w2, M)
+        g1 = grad_M(spec, op, np.asarray(b) + w1, M)
+        g2 = grad_M(spec, op, np.asarray(b) + w2, M)
         lam1 = max(lam1, float(np.linalg.norm(g1 - g2)) / dw)
         k = max(1, min(op.n, rank))
         K = random_low_rank_symmetric(op.n, k, rng)

@@ -368,7 +368,8 @@ class TestResidualHessian:
     Tolerances are fixed from double precision and the difference step, not
     from observed errors: fast path against dense 1e-10 relative in norm,
     symmetry and zero sum 1e-10 relative, central differences of the exact
-    gradient (step 1e-5) 1e-6 relative in norm.
+    gradient (step 1e-5) 1e-6 relative in norm, and of the value (step
+    1e-5) along u 1e-6 relative to ||g|| ||u||.
     """
 
     @settings(max_examples=25, deadline=None, database=None)
@@ -410,21 +411,52 @@ class TestResidualHessian:
         hv = hvp_residual(spec, r, v)
         assert np.linalg.norm(hv - fd) <= 1e-6 * np.linalg.norm(fd)
 
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(spec=st.sampled_from([LossSpec.mse(), LossSpec.kernel(0.5),
+                                 LossSpec.combined(0.3, 0.5)]),
+           m=st.one_of(st.integers(20, _FGT_MIN_M - 1),
+                       st.integers(_FGT_MIN_M, 2 * _FGT_MIN_M)),
+           kind=st.sampled_from(["normal", "student_t"]),
+           seed=st.integers(0, 2**32 - 1))
+    @example(spec=LossSpec.mse(), m=40, kind="normal", seed=0)
+    @example(spec=LossSpec.combined(0.3, 0.5), m=2 * _FGT_MIN_M,
+             kind="student_t", seed=1)
+    def test_derivatives_are_central_differences(self, spec, m, kind, seed):
+        # Each kind at one scale, on both Gauss-sum providers: the gradient
+        # is the derivative of the value, the HVP that of the gradient.
+        r = sample_residuals(kind, m, seed)
+        u, v = np.random.default_rng([seed, 2]).standard_normal((2, m))
+        t = 1e-5
+        g = grad_residual(spec, r)
+        fd = (loss_value(spec, r + t * u)
+              - loss_value(spec, r - t * u)) / (2 * t)
+        assert abs(g @ u - fd) <= 1e-6 * np.linalg.norm(g) * np.linalg.norm(u)
+        fd = (grad_residual(spec, r + t * v)
+              - grad_residual(spec, r - t * v)) / (2 * t)
+        hv = hvp_residual(spec, r, v)
+        assert np.linalg.norm(hv - fd) <= 1e-6 * np.linalg.norm(fd)
+
     @pytest.mark.parametrize("m", [40, 2 * _FGT_MIN_M])
     def test_combined_mixes_parts(self, m):
-        # The combined loss mixes the mean-normalized MSE, whose Hessian is
-        # (1/m) times the sum-normalized 2I that hvp_residual gives the MSE.
+        # The combined loss mixes the mean square (1/m) sum(r_i^2), whose
+        # Hessian is (2/m) times the MSE's I (of 0.5 sum(r_i^2)).
         r = sample_residuals("normal", m, 12)
         v = np.random.default_rng(13).standard_normal(m)
         lam = 0.3
         hv = hvp_residual(LossSpec.combined(lam, 0.5), r, v)
-        parts = (lam / m * hvp_residual(LossSpec.mse(), r, v)
+        parts = (2 * lam / m * hvp_residual(LossSpec.mse(), r, v)
                  + (1 - lam) * hvp_residual(LossSpec.kernel(0.5), r, v))
         assert np.linalg.norm(hv - parts) <= 1e-14 * np.linalg.norm(parts)
 
-    def test_mse_is_twice_identity(self):
+    def test_mse_is_identity(self):
+        # Gradient r and HVP v, each a new array: no caller holds an alias
+        # of its residuals or direction.
         r, v = np.random.default_rng(14).standard_normal((2, 9))
-        assert np.array_equal(hvp_residual(LossSpec.mse(), r, v), 2 * v)
+        hv = hvp_residual(LossSpec.mse(), r, v)
+        assert np.array_equal(hv, v) and not np.shares_memory(hv, v)
+        for x in (r, v):
+            dx = losses._derivative(LossSpec.mse(), x, None)
+            assert np.array_equal(dx, x) and not np.shares_memory(dx, x)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -453,7 +485,8 @@ class TestHessianNoiseGap:
 
     @pytest.mark.parametrize("m", [60, 2 * _FGT_MIN_M])
     @pytest.mark.parametrize("spec", [LossSpec.kernel(0.5),
-                                      LossSpec.combined(0.3, 0.5)])
+                                      LossSpec.combined(0.3, 0.5),
+                                      LossSpec.mse()])
     def test_matches_polarized_differences(self, m, spec):
         inst = make_instance(6, 2, m, (2, 1), NoiseModel.gaussian(0.1), seed=26)
         rng = np.random.default_rng(27)
@@ -569,7 +602,7 @@ class TestHessian:
         K = rng.standard_normal((4, 4)); K = 0.5 * (K + K.T)
         q = hessian_quadratic_form(LossSpec.mse(), op, np.zeros(16),
                                    np.eye(4), K)
-        assert abs(q - 2 * np.sum(K * K)) < 1e-10
+        assert abs(q - np.sum(K * K)) < 1e-10
 
     def test_kernel_two_schemes_agree(self):
         inst = make_instance(6, 2, 40, (2, 1), NoiseModel.gaussian(0.1), seed=21)
@@ -695,7 +728,7 @@ class TestLambdaMin:
         delta = full_rank_defect(inst.op)
         res = lambda_min_hessian(LossSpec.mse(), inst.op, inst.measurements,
                                  inst.truth.matrix, iters=300, seed=1)
-        assert res.value >= 2 * (1 - delta) - 1e-6
+        assert res.value >= 1 - delta - 1e-6
         sampled = estimate_rip(inst.op, 4, 100, seed=24).delta_hat
         assert sampled <= delta
 
