@@ -50,6 +50,15 @@ def _check_out_dir(path) -> None:
         raise ValueError(f"cannot write {path}: no such directory")
 
 
+def _read(path: str, flag: str, parse=json.loads):
+    """parse(the text of the file at path); a ValueError (malformed JSON
+    too) names flag and the file."""
+    try:
+        return parse(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{flag} {path}: {exc}") from None
+
+
 def _parse_kv(text: str) -> dict:
     out = {}
     if text:
@@ -60,6 +69,7 @@ def _parse_kv(text: str) -> dict:
 
 
 def _cmd_gen(args) -> int:
+    _check_out_dir(args.out)
     spectrum = tuple(_number(s, "--spectrum", s)
                      for s in args.spectrum.split(","))
     noise = NoiseModel(args.noise, _parse_kv(args.noise_params), args.centered)
@@ -74,15 +84,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _init_file(path: str, n: int) -> np.ndarray:
-    """The --init-file matrix, checked as gradient_descent checks init_X0."""
-    text = Path(path).read_text()
-    try:
-        return check_init_X0(json.loads(text), n)
-    except ValueError as exc:            # also malformed JSON
-        raise ValueError(f"--init-file {path}: {exc}") from None
-
-
 def _cmd_solve(args) -> int:
     if args.init == "explicit" and args.init_file is None:
         raise ValueError("--init explicit needs --init-file")
@@ -95,11 +96,12 @@ def _cmd_solve(args) -> int:
                          f"got --init {args.init}")
     # h and lambda_mix are checked whatever the loss, as sweep does.
     LossSpec.combined(args.lambda_mix, args.h)
-    inst = instance_from_json(Path(args.instance).read_text())
+    inst = _read(args.instance, "--instance", instance_from_json)
     spec = _loss_spec(args.loss, args.h, args.lambda_mix)
     init_x0 = None
-    if args.init == "explicit":
-        init_x0 = _init_file(args.init_file, inst.truth.n)
+    if args.init == "explicit":     # checked as gradient_descent checks it
+        init_x0 = _read(args.init_file, "--init-file", lambda text:
+                        check_init_X0(json.loads(text), inst.truth.n))
     config = SolverConfig(eta=args.eta, max_iters=args.max_iters,
                           grad_tol=args.grad_tol, init=args.init,
                           init_scale=(0.1 if args.init_scale is None
@@ -135,7 +137,7 @@ def _config_fields(args, cls, extra=()) -> dict:
     names = [f.name for f in dataclasses.fields(cls)]
     fields = {}
     if args.config:
-        fields = json.loads(Path(args.config).read_text())
+        fields = _read(args.config, "--config")
         if not isinstance(fields, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
         unknown = sorted(set(fields) - set(names) - set(extra))
@@ -201,6 +203,7 @@ _BOUNDS_TYPES = {
 
 
 def _cmd_bounds(args) -> int:
+    _check_out_dir(args.out)
     fields = _config_fields(args, bd.BoundInputs, _HDI_KEYS + _REPORT_KEYS)
     _check_types(fields, _BOUNDS_TYPES)
     hdi_fields = {k: fields.pop(k) for k in _HDI_KEYS if k in fields}

@@ -59,11 +59,11 @@
 # freed before the next is built (a chunk's power table takes 0.75 MB).
 # Measured on that Xeon (student-t residuals of norm 0.9, h = 0.5, best of
 # 25 x 50 calls), the fast path takes ~0.24 ms per value and gradient at
-# m = 1200 and ~0.45 ms at m = 4000 (value only ~0.16 / 0.24 ms, a Hessian
-# build and one HVP ~0.4 / 0.75 ms), and a stack of 6 rows at m = 1200 (two
-# chunks) takes ~0.7x the time of 6 one-row calls, for value and gradient
-# as for a Hessian build and HVP; the dense path takes ~200 ms and
-# 256 MB at m = 4000.  Property tests hold the fast path to the dense one: relative
+# m = 1200 and ~0.45 ms at m = 4000 (a Hessian build and one HVP
+# ~0.4 / 0.75 ms), and a stack of 6 rows at m = 1200 (two chunks) takes
+# ~0.7x the time of 6 one-row calls, for value and gradient as for a
+# Hessian build and HVP; the dense path takes ~200 ms and 256 MB at
+# m = 4000.  Property tests hold the fast path to the dense one: relative
 # error <= 1e-12 on the value, <= 1e-10 on the gradient and HVP norms,
 # zero-sum gradient and HVP.  The exponentially
 # small gradients of widely spread, nearly flat residuals (criterion 3
@@ -456,42 +456,36 @@ def _unsort(x: np.ndarray, order: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _kernel(r: np.ndarray, h: float, grad: bool, provider=None):
-    """Kernel value and, if grad, residual gradient g = -c (S_1[q] + q S_1[1])
-    with z = S_0[1]/m, q = 1/z and c = 2/(m^2 h^2).  r is one residual
-    vector (the value a float) or a stack of them (..., m) (an array of
-    values).  Each row is evaluated sorted (the providers' contract), one
-    provider call per chunk of rows (_row_chunks), each chunk's tables freed
-    before the next is built; the gradient is returned in input order.
-    provider defaults to _gauss_sums.
+def _kernel(r: np.ndarray, h: float, provider=None):
+    """Kernel value and residual gradient g = -c (S_1[q] + q S_1[1]) with
+    z = S_0[1]/m, q = 1/z and c = 2/(m^2 h^2), from one pass over the Gauss
+    sums.  r is one residual vector (the value a float) or a stack of them
+    (..., m) (an array of values).  Each row is evaluated sorted (the
+    providers' contract), one provider call per chunk of rows (_row_chunks),
+    each chunk's tables freed before the next is built; the gradient is
+    returned in input order.  provider defaults to _gauss_sums.
     """
     m = r.shape[-1]
     rows = r.reshape(-1, m)
     values = np.empty(len(rows))
-    grads = np.empty(rows.shape) if grad else None
+    grads = np.empty(rows.shape)
     for chunk in _row_chunks(*rows.shape):
         values[chunk] = _kernel_chunk(rows[chunk], h, provider or _gauss_sums,
-                                      grads[chunk] if grad else None)
+                                      grads[chunk])
     return (float(values[0]) if r.ndim == 1 else values.reshape(r.shape[:-1]),
-            grads.reshape(r.shape) if grad else None)
+            grads.reshape(r.shape))
 
 
 def _kernel_chunk(rows: np.ndarray, h: float, provider, grads) -> np.ndarray:
-    """_kernel's values of a stack of rows in one provider call, and their
-    gradients into grads unless it is None."""
+    """_kernel on a stack of rows, one provider call; gradients into grads."""
     m = rows.shape[1]
-    if grads is None:                     # the value needs no order
-        sums = provider(np.sort(rows, axis=1), h)
-        s0, = sums(None, (0,))
-    else:
-        order, part = _sorted_rows(rows)
-        sums = provider(part, h)
-        s0, s1 = sums(None, (0, 1))
+    order, part = _sorted_rows(rows)
+    sums = provider(part, h)
+    s0, s1 = sums(None, (0, 1))
     z = s0 / m                            # z_i >= 1/m since E_ii = 1
-    if grads is not None:
-        q = 1.0 / z
-        g = (-2.0 / (m * m * h * h)) * (sums(q, (1,))[0] + q * s1)
-        _unsort(g, order, grads)
+    q = 1.0 / z
+    g = (-2.0 / (m * m * h * h)) * (sums(q, (1,))[0] + q * s1)
+    _unsort(g, order, grads)
     return -np.log(z).sum(axis=1) / m               # the rows' means
 
 
@@ -561,50 +555,48 @@ def _kernel_work(specs, work) -> dict:
         s.h for s in specs if s.kind != MSE)}
 
 
-def _loss_rows(specs, R: np.ndarray, grad: bool):
-    """Values (an array) and, if grad, residual gradients (_derivative's;
-    a stack, else None) of specs[i] at row i of the stack R, the MSE's value
-    at 0.5 sum(r_i^2), with one kernel evaluation per bandwidth for all the
-    rows that need it (on R itself when one bandwidth serves every row)."""
+def _loss_rows(specs, R: np.ndarray):
+    """Values (an array) and residual gradients (_derivative's, a stack) of
+    specs[i] at row i of the stack R, the MSE's value at 0.5 sum(r_i^2),
+    both from one kernel evaluation per bandwidth for all the rows that
+    need it (on R itself when one bandwidth serves every row)."""
     kernel_rows = {}
     for i, spec in enumerate(specs):
         if spec.kind != MSE:
             kernel_rows.setdefault(spec.h, []).append(i)
     if [len(rows) for rows in kernel_rows.values()] == [len(R)]:
         (h,) = kernel_rows
-        values, G = _kernel(R, h, grad)
+        values, G = _kernel(R, h)
     else:
-        values, G = np.empty(len(R)), np.empty(R.shape) if grad else None
+        values, G = np.empty(len(R)), np.empty(R.shape)
         for h, rows in kernel_rows.items():
-            values[rows], kg = _kernel(R[rows], h, grad)
-            if grad:
-                G[rows] = kg
+            values[rows], G[rows] = _kernel(R[rows], h)
     for i, (spec, r) in enumerate(zip(specs, R)):
         if spec.kind == MSE:
             values[i] = 0.5 * float(r @ r)
         elif spec.kind == COMBINED:
             lam = spec.lambda_mix
             values[i] = lam * (float(r @ r) / r.size) + (1.0 - lam) * values[i]
-        if grad:
-            G[i] = _derivative(spec, r, G[i])
+        G[i] = _derivative(spec, r, G[i])
     return values, G
 
 
-def _value_and_grad(spec: LossSpec, r: np.ndarray, grad: bool):
-    """Loss value and, if grad, residual gradient (else None), for one
-    residual vector (the value a float) or each row of a stack (..., m)."""
+def loss_and_grad_residual(spec: LossSpec, r: np.ndarray):
+    """Loss value and residual gradient dL/dr from one kernel evaluation,
+    for one residual vector (the value a float) or each row of a stack
+    (..., m).  loss_value and grad_residual return its two halves."""
     r = np.asarray(r, dtype=float)
     rows = r.reshape(-1, r.shape[-1])
-    values, G = _loss_rows((spec,) * len(rows), rows, grad)
-    if r.ndim == 1:
-        return float(values[0]), G[0] if grad else None
-    return values.reshape(r.shape[:-1]), G.reshape(r.shape) if grad else None
+    values, G = _loss_rows((spec,) * len(rows), rows)
+    values = values.reshape(r.shape[:-1])
+    return float(values) if r.ndim == 1 else values, G.reshape(r.shape)
 
 
 def loss_value(spec: LossSpec, r: np.ndarray):
     """Loss evaluated on a residual vector (a float), or on each row of a
-    stack of them (an array)."""
-    return _value_and_grad(spec, r, grad=False)[0]
+    stack of them (an array): the value gradient_descent records at the
+    same residuals, bit for bit."""
+    return loss_and_grad_residual(spec, r)[0]
 
 
 def kernel_row_means(r: np.ndarray, h: float) -> np.ndarray:
@@ -629,12 +621,7 @@ def grad_residual(spec: LossSpec, r: np.ndarray) -> np.ndarray:
     differences (exactly up to rounding on the dense path, to the fast
     path's accuracy contract from _FGT_MIN_M residuals on).
     """
-    return _value_and_grad(spec, r, grad=True)[1]
-
-
-def loss_and_grad_residual(spec: LossSpec, r: np.ndarray):
-    """Value and residual gradient from one kernel evaluation."""
-    return _value_and_grad(spec, r, grad=True)
+    return loss_and_grad_residual(spec, r)[1]
 
 
 def _residual_hessian(spec: LossSpec, r: np.ndarray):
@@ -667,14 +654,22 @@ def hvp_residual(spec: LossSpec, r: np.ndarray, v: np.ndarray) -> np.ndarray:
 # Matrix-space derivatives
 # ---------------------------------------------------------------------------
 
+def _loss_grad_M(specs, op: SensingOperator, B: np.ndarray, M: np.ndarray):
+    """Values and matrix-space gradients -A*(g) of specs[i] at
+    r_i = B[i] - A(M_i), g from _loss_rows, for one n x n M (B one row) or
+    a stack (s, n, n) (B (s, m)); a lone M goes through the operator and
+    its adjoint as matrix-vector products."""
+    values, G = _loss_rows(specs, (B - apply_op(op, M)).reshape(-1, op.m))
+    return values, -adjoint_op(op, G if M.ndim == 3 else G[0])
+
+
 def grad_M(spec: LossSpec, op: SensingOperator, b: np.ndarray,
            M: np.ndarray) -> np.ndarray:
     """Gradient in the lifted variable: -A*(dL/dr) evaluated at r = b - A(M)."""
     M = np.asarray(M)
     if M.shape != (op.n, op.n):
         raise ValueError(f"M must be {op.n} x {op.n}, got {M.shape}")
-    r = _measurements(op, b) - apply_op(op, M)
-    return -adjoint_op(op, grad_residual(spec, r))
+    return _loss_grad_M((spec,), op, _measurements(op, b), M)[1]
 
 
 def grad_X(spec: LossSpec, op: SensingOperator, b: np.ndarray,

@@ -20,9 +20,9 @@
 # m = 4000, 2000 and 1200.
 # Tuples keep the residual form, where MSE rows ride the operator blocks
 # that the other rows pay for, and a problem's bits must not depend on
-# what it is stacked with.  Their kernel rows go through one fast Gauss
-# transform per bandwidth and evaluation (losses._loss_rows), which gives
-# each row the bits it gets alone.
+# what it is stacked with.  losses._loss_grad_M composes their losses with
+# the operator, with one fast Gauss transform per bandwidth for the kernel
+# rows, which gives each row the bits it gets alone.
 
 from __future__ import annotations
 
@@ -35,9 +35,8 @@ import numpy as np
 
 from .empirics import estimate_rho
 from .model import (ProblemInstance, SensingOperator, _check_count,
-                    _derived_seeds, adjoint_op, apply_op, estimate_rip,
-                    normal_products)
-from .losses import KERNEL, MSE, LossSpec, _loss_rows, _measurements
+                    _derived_seeds, adjoint_op, estimate_rip, normal_products)
+from .losses import KERNEL, MSE, LossSpec, _loss_grad_M, _measurements
 
 __all__ = [
     "ETA_SELECTORS",
@@ -126,15 +125,15 @@ ETA_SELECTORS = ("auto", "auto_rho")
 
 
 def check_eta(eta) -> None:
-    """Raise ValueError unless eta is a selector or a positive number."""
+    """Raise ValueError unless eta is a selector or a finite number > 0."""
     if isinstance(eta, str):
         if eta not in ETA_SELECTORS:
             raise ValueError(f"unknown eta selector {eta!r}; expected a "
                              f"positive number or one of "
                              f"{', '.join(ETA_SELECTORS)}")
     elif isinstance(eta, bool) or not (isinstance(eta, numbers.Real)
-                                       and eta > 0):
-        raise ValueError(f"explicit eta must be a number > 0, got {eta!r}")
+                                       and 0 < eta < math.inf):
+        raise ValueError(f"eta must be a finite number > 0, got {eta!r}")
 
 
 def check_init_X0(X0, n: Optional[int] = None) -> np.ndarray:
@@ -165,7 +164,7 @@ def check_init_X0(X0, n: Optional[int] = None) -> np.ndarray:
 class SolverConfig:
     """Gradient-descent configuration.
 
-    eta: positive float, or a selector from ETA_SELECTORS.
+    eta: finite float > 0, or a selector from ETA_SELECTORS.
     init: "spectral", "ground_truth_perturbed", or "explicit" (set init_X0,
     a finite 2-D real array; gradient_descent checks that it has n rows).
     """
@@ -305,7 +304,8 @@ class _Descent:
 
     def ended(self) -> bool:
         """Whether the solve stops at the current iterate (sets termination)."""
-        if not (math.isfinite(self.val) and np.all(np.isfinite(self.gX))):
+        if not (math.isfinite(self.losses[-1])
+                and np.all(np.isfinite(self.gX))):
             self.termination = "non_finite"
         elif self.gnorm < self.config.grad_tol:
             self.termination = "grad_tol"
@@ -359,20 +359,16 @@ def gradient_descent(instance, spec, config):
     def evaluate(active):
         XXt = [run.X @ run.X.T for run in active]
         if normal is not None:
-            active[0].val, grad = normal(XXt[0])
-            grads = grad[None]
+            val, grad = normal(XXt[0])
+            vals, grads = [val], grad
         else:
-            # A bare call applies the operator to one matrix and one
-            # vector, which BLAS computes as matrix-vector products.
-            R = np.stack([run.b for run in active]) - apply_op(
-                op, np.stack(XXt) if stacked else XXt[0])
-            vals, G = _loss_rows([run.spec for run in active], R, True)
-            for run, val in zip(active, vals.tolist()):
-                run.val = val
-            grads = -adjoint_op(op, G if stacked
-                                else G[0]).reshape(-1, op.n, op.n)
-        for run, M, grad in zip(active, XXt, grads):
-            run.losses.append(run.val)
+            vals, grads = _loss_grad_M(
+                [run.spec for run in active], op,
+                np.stack([run.b for run in active]),
+                np.stack(XXt) if stacked else XXt[0])
+        for run, M, val, grad in zip(active, XXt, vals,
+                                     grads.reshape(-1, op.n, op.n)):
+            run.losses.append(val)
             run.errors.append(float(np.linalg.norm(M - run.M_star)))
             run.gX = 2.0 * grad @ run.X
             run.gnorm = float(np.linalg.norm(run.gX))

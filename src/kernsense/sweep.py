@@ -57,7 +57,7 @@ class SweepConfig:
     not centered.
 
     losses (no kind twice) and eps_grid must be non-empty.  eta is a
-    positive number or a selector from optimize.ETA_SELECTORS.  The
+    finite number > 0 or a selector from optimize.ETA_SELECTORS.  The
     kernel-loss error bound uses the lambda_min that Lanczos
     (LAMBDA_MIN_ITERS steps) measures on the Hessian at the ground truth,
     the quantity the bound is stated for.  workers > 1 runs the trials on

@@ -16,6 +16,13 @@ def tmp(tmp_path):
     return tmp_path
 
 
+def _never(engine):
+    """A stand-in for engine that fails the test if it is called."""
+    def never(*args, **kwargs):
+        raise AssertionError(f"{engine} ran")
+    return never
+
+
 def test_gen_is_deterministic_and_regenerable(tmp):
     out1 = tmp / "a.json"
     out2 = tmp / "b.json"
@@ -98,15 +105,20 @@ def test_bounds_non_finite_input_exit_two(tmp, capsys, flag, value):
 @pytest.mark.parametrize("flag,value", [("--grad-tol", "nan"),
                                         ("--grad-tol", "inf"),
                                         ("--init-scale", "nan"),
-                                        ("--init-scale", "inf")])
-def test_solve_non_finite_setting_exit_two(tmp, capsys, flag, value):
+                                        ("--init-scale", "inf"),
+                                        ("--eta", "inf")])
+def test_solve_non_finite_setting_exit_two(tmp, capsys, monkeypatch, flag,
+                                           value):
     # Each would run silently: a NaN grad_tol never stops the loop, an
     # infinite one stops it at once as converged, and a non-finite
-    # init_scale reads as a diverged solve (exit 3).
+    # init_scale reads as a diverged solve (exit 3).  An infinite eta is
+    # rejected with the config, before the solver starts.
+    import kernsense.cli as cli
     inst_file = tmp / "inst.json"
     main(["gen", "--n", "6", "--rank", "2", "--m", "40", "--spectrum", "2,1",
           "--noise", "gaussian", "--noise-params", "sigma=0.1", "--seed", "3",
           "--out", str(inst_file)])
+    monkeypatch.setattr(cli, "gradient_descent", _never("gradient_descent"))
     code = main(["solve", "--instance", str(inst_file), "--init",
                  "ground_truth_perturbed", "--max-iters", "5", flag, value,
                  "--out", str(tmp / "run")])
@@ -126,10 +138,11 @@ def test_sweep_config_rejects_non_finite(key, value):
 @pytest.mark.parametrize("loss", ["mse", "kernel"])
 @pytest.mark.parametrize("key,value", [("h", -1.0), ("h", 0.0),
                                        ("lambda_mix", 7.0),
-                                       ("lambda_mix", -0.1)])
+                                       ("lambda_mix", -0.1),
+                                       ("eta", math.inf)])
 def test_sweep_out_of_range_parameter_exit_two(tmp, capsys, loss, key, value):
     # Rejected when the config is built, whatever the losses, so no
-    # instance or RIP probe is made first.
+    # instance, RIP probe or step size is made first.
     with pytest.raises(ValueError, match=f"{key} must"):
         SweepConfig(losses=(loss,), **{key: value})
     out = tmp / "s.csv"
@@ -689,23 +702,23 @@ def test_sweep_flags_name_a_budget_stop():
     assert all("max_iters" in r.flags.split(";") for r in rows)
 
 
-# The two commands that write an --out file, each with the engine that does
-# their work.
+# The commands that write an --out file (solve's --out is a prefix whose
+# directory it makes), each with the engine that does their work, as cli
+# reaches it.
 OUT_COMMANDS = pytest.mark.parametrize("argv,engine", [
     (["sweep", "--n", "6", "--rank", "2", "--trials", "1"], "run_sweep"),
     (["verify"], "run_verification"),
+    (["gen", "--n", "6", "--rank", "2", "--m", "40", "--spectrum", "2,1"],
+     "make_instance"),
+    (["bounds", "--delta", "0.2", "--eps", "0.5", "--h", "1.0"],
+     "bd.compute_report"),
 ])
 
 
 @OUT_COMMANDS
 def test_out_into_a_missing_directory_exit_two_before_any_work(
         tmp, capsys, monkeypatch, argv, engine):
-    import kernsense.cli as cli
-
-    def never(*args, **kwargs):
-        raise AssertionError(f"{engine} ran")
-
-    monkeypatch.setattr(cli, engine, never)
+    monkeypatch.setattr(f"kernsense.cli.{engine}", _never(engine))
     out = tmp / "nodir" / "out.txt"
     assert main(argv + ["--out", str(out)]) == 2
     assert str(out) in capsys.readouterr().err
@@ -715,12 +728,7 @@ def test_out_into_a_missing_directory_exit_two_before_any_work(
 @OUT_COMMANDS
 def test_out_naming_a_directory_exit_two_before_any_work(
         tmp, capsys, monkeypatch, argv, engine):
-    import kernsense.cli as cli
-
-    def never(*args, **kwargs):
-        raise AssertionError(f"{engine} ran")
-
-    monkeypatch.setattr(cli, engine, never)
+    monkeypatch.setattr(f"kernsense.cli.{engine}", _never(engine))
     out = tmp / "adir"
     out.mkdir()
     assert main(argv + ["--out", str(out)]) == 2
@@ -728,6 +736,17 @@ def test_out_naming_a_directory_exit_two_before_any_work(
     assert captured.out == ""
     assert f"cannot write {out}: it is a directory" in captured.err
     assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--config"], ["bounds", "--config"],
+                                  ["solve", "--instance"]],
+                         ids=["sweep", "bounds", "solve"])
+def test_unparsable_json_file_exit_two_naming_it(tmp, capsys, argv):
+    bad = tmp / "bad.json"
+    bad.write_text("{\n")
+    assert main(argv + [str(bad), "--out", str(tmp / "out")]) == 2
+    assert f"{argv[1]} {bad}: Expecting property name" in capsys.readouterr().err
+    assert list(tmp.iterdir()) == [bad]
 
 
 def test_sweep_threads_do_not_change_the_csv():

@@ -1,6 +1,7 @@
 """Every name a kernsense module or test module imports is used there,
 `import kernsense` loads only the library's core modules, the
-estimators in empirics leave every loss kind's formulas to losses, and
+estimators in empirics leave every loss kind's formulas to losses, the
+solver leaves the loss's composition with the operator to losses, and
 the sweep engine and its command-line front import in one direction.
 
 A stdlib-ast stand-in for a linter's unused-import rule.  The package's
@@ -89,6 +90,16 @@ def test_empirics_leaves_loss_kinds_to_losses():
     # assembled in losses (_derivative); an estimator that branched on the
     # kind would write a second definition of a loss.
     assert loss_kind_uses((SRC / "empirics.py").read_text()) == []
+
+
+def test_optimize_leaves_the_loss_composition_to_losses():
+    # losses composes the residual-space loss with A and A* (_loss_grad_M)
+    # for grad_M and the solver alike; a solver that applied A and called
+    # the residual-space rows itself would write that composition twice.
+    imported = {a.name for node in ast.walk(ast.parse(
+        (SRC / "optimize.py").read_text()))
+        if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not imported & {"apply_op", "_loss_rows"}
 
 
 def package_imports(source: str) -> set:
