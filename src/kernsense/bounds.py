@@ -46,6 +46,14 @@ PEAK_EPS = 1.0 / math.sqrt(2.0)
 PEAK_VAL = PEAK_EPS * math.exp(-0.5)
 
 
+def _check_finite(**values) -> None:
+    """Raise ValueError naming the first value (None skipped) that is NaN
+    or infinite: every formula here would carry it into its result."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Scalar inputs shared by the calculators.
@@ -58,7 +66,7 @@ class BoundInputs:
     (-sigma_min of the gradient at a minimizer); l_smooth: generic
     smoothness constant for the lower bounds; lambda_min: Hessian floor;
     c_extra: additive constant in the kernel continuity bound; n_meas:
-    measurement count.
+    measurement count.  Every float given must be finite.
     """
 
     delta: float = 0.0
@@ -78,13 +86,13 @@ class BoundInputs:
     n_meas: int = 1
 
     def __post_init__(self):
+        _check_finite(**{f.name: getattr(self, f.name) for f in fields(self)
+                         if f.type != "int"})
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("delta must lie in [0, 1)")
-        # NaN fails every comparison, so each test is written to pass only
-        # on valid values.
-        if not (self.eps >= 0 and math.isfinite(self.eps)):
+        if not self.eps >= 0:
             raise ValueError("eps must be finite and >= 0")
-        if not (self.h > 0 and math.isfinite(self.h)):
+        if not self.h > 0:
             raise ValueError("h must be finite and > 0")
         if not self.n_meas >= 1:
             raise ValueError(f"n_meas must be >= 1, got {self.n_meas}")
@@ -110,6 +118,8 @@ class HighDeltaInputs:
     u_min_sq: float
 
     def __post_init__(self):
+        _check_finite(lambda_rstar=self.lambda_rstar, norm_q=self.norm_q,
+                      gamma_min=self.gamma_min, u_min_sq=self.u_min_sq)
         for name in ("lambda_rstar", "norm_q", "gamma_min"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
@@ -417,7 +427,10 @@ def compute_report(bi: BoundInputs, hdi: Optional[HighDeltaInputs] = None,
                    l_star: float = 0.0, lambda_mix: float = 1.0,
                    rho: float = 1.0, rank: int = 1) -> BoundReport:
     """Evaluate every calculator, recording per-calculator precondition
-    failures instead of aborting the report."""
+    failures instead of aborting the report; a non-finite l_star,
+    lambda_mix or rho raises ValueError (BoundInputs and HighDeltaInputs
+    reject theirs)."""
+    _check_finite(l_star=l_star, lambda_mix=lambda_mix, rho=rho)
     values, errors, flags = {}, {}, {}
 
     def attempt(name, fn):

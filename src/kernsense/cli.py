@@ -64,7 +64,10 @@ def _parse_kv(text: str) -> dict:
     if text:
         for item in text.split(","):
             k, _, v = item.partition("=")
-            out[k.strip()] = _number(v, "--noise-params", item)
+            k, value = k.strip(), _number(v, "--noise-params", item)
+            if k in out:
+                raise ValueError(f"--noise-params: key {k!r} given twice")
+            out[k] = value
     return out
 
 

@@ -57,6 +57,10 @@
 # builds each row's tables in turn.  A stack goes through in chunks of
 # whole rows of at most _FGT_CHUNK = 4096 residuals, each chunk's tables
 # freed before the next is built (a chunk's power table takes 0.75 MB).
+# A sums call's temporaries take about 8 p (len(ks) + 1) bytes per point
+# of a sparse box (at most ~2.4 MB per chunk for two sums, ~3.1 MB for
+# three) and ~5 KB per occupied box for the moments gathered for the
+# translations; a row longer than _FGT_CHUNK is a chunk alone, so O(m).
 # Measured on that Xeon (student-t residuals of norm 0.9, h = 0.5, best of
 # 25 x 50 calls), the fast path takes ~0.24 ms per value and gradient at
 # m = 1200 and ~0.45 ms at m = 4000 (a Hessian build and one HVP
@@ -122,8 +126,6 @@ _FGT_REACH_BOXES = int(2 * _FGT_REACH) + 1
 # rows holding at most this many (one row at least), which bounds a chunk's
 # (p, points) power table to 0.75 MB.
 _FGT_CHUNK = 1 << 12
-# Points of sparse boxes per reduction and evaluation step of a transform.
-_FGT_BLOCK = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -317,9 +319,9 @@ def _fgt_transform(x: np.ndarray, cuts: np.ndarray, h: float, shape):
     order.  A box of at least 2p points is dense: its moments are one
     matrix-vector product with the weights (with ones for unit weights),
     and its sums one (len(ks), p) x (p, points) matrix product.  The sparse
-    boxes go together through np.add.reduceat and one einsum over their
-    points (in groups, _fgt_groups), as a product per box costs more than
-    it saves on small boxes.
+    boxes go together, as a product per box costs more than it saves on
+    small boxes: their points' powers are gathered once, and each sums
+    call makes one np.add.reduceat and one einsum over all of them.
 
     A row in a stack is rounded as it is alone, by construction: every
     step is elementwise, a reduction over one box or tie group, or a
@@ -328,7 +330,8 @@ def _fgt_transform(x: np.ndarray, cuts: np.ndarray, h: float, shape):
     (a matrix-vector product for a row of one box), and each dense box is
     one product.  einsum's order of summation follows its operands'
     layout, so every sparse point is gathered (point-major), which lays
-    each row's points out as alone.
+    each row's points out as alone; the reduction and the einsum then
+    round each point and box alone, however many points share the call.
     """
     n = x.size
     gap = np.diff(x)
@@ -377,7 +380,12 @@ def _fgt_transform(x: np.ndarray, cuts: np.ndarray, h: float, shape):
     dense = np.flatnonzero(~sparse)
     blocks = [(j, slice(a, a + c)) for j, a, c in zip(
         dense.tolist(), starts[dense].tolist(), counts[dense].tolist())]
-    groups = _fgt_groups(sparse, counts, powers)
+    boxes = np.flatnonzero(sparse)                      # the sparse boxes,
+    pts = np.flatnonzero(np.repeat(sparse, counts))     # their points,
+    fp = powers[:, pts]                                 # gathered once
+    few = counts[boxes]
+    at = np.cumsum(few) - few                   # each box's first in pts
+    point_box = np.repeat(boxes, few)
     moments = np.zeros((occupied.size + 1, p))
     ones = np.ones(n)
     h_powers = np.power(h, (0, 1, 2))
@@ -385,9 +393,8 @@ def _fgt_transform(x: np.ndarray, cuts: np.ndarray, h: float, shape):
     def sums(q, ks):
         if q is not None:
             q = q.reshape(-1)
-        for boxes, c, at, fp, _ in groups:
-            weighted = fp if q is None else fp * q[c]
-            moments[boxes] = np.add.reduceat(weighted, at, axis=1).T
+        moments[boxes] = np.add.reduceat(fp if q is None else fp * q[pts],
+                                         at, axis=1).T
         w = ones if q is None else q
         for j, c in blocks:
             moments[j] = powers[:, c] @ w[c]
@@ -401,36 +408,12 @@ def _fgt_transform(x: np.ndarray, cuts: np.ndarray, h: float, shape):
             if k:
                 local[i] *= h_powers[k]
         out = np.empty((len(ks), n))
-        for _, c, _, fp, box in groups:
-            out[:, c] = np.einsum("kbj,bj->kj", local[:, :, box], fp)
+        out[:, pts] = np.einsum("kbj,bj->kj", local[:, :, point_box], fp)
         for j, c in blocks:
             np.matmul(local[:, :, j], powers[:, c], out=out[:, c])
         return out.reshape((len(ks),) + shape)
 
     return sums
-
-
-def _fgt_groups(sparse, counts, powers) -> list:
-    """The sparse boxes of _fgt_transform (where sparse holds, of counts
-    points each) in groups of whole boxes of about _FGT_BLOCK points, which
-    bounds a sums call's per-point temporaries: (boxes, points, segment
-    starts, powers, box of each point) per group, the points as indices of
-    the transform and their columns of the power table gathered
-    (point-major), in order."""
-    boxes = np.flatnonzero(sparse)
-    if not boxes.size:
-        return []
-    pts = np.flatnonzero(np.repeat(sparse, counts))
-    fp = powers[:, pts]
-    counts = counts[boxes]
-    at = np.cumsum(counts) - counts
-    box = np.repeat(boxes, counts)
-    b_edges = [0] + (np.flatnonzero(np.diff(at // _FGT_BLOCK)) + 1).tolist()
-    p_edges = at[b_edges].tolist() + [box.size]
-    b_edges.append(boxes.size)
-    return [(boxes[b0:b1], pts[p0:p1], at[b0:b1] - p0, fp[:, p0:p1],
-             box[p0:p1]) for b0, b1, p0, p1 in zip(
-                 b_edges, b_edges[1:], p_edges, p_edges[1:])]
 
 
 def _gauss_sums(r: np.ndarray, h: float):
@@ -559,18 +542,14 @@ def _loss_rows(specs, R: np.ndarray):
     """Values (an array) and residual gradients (_derivative's, a stack) of
     specs[i] at row i of the stack R, the MSE's value at 0.5 sum(r_i^2),
     both from one kernel evaluation per bandwidth for all the rows that
-    need it (on R itself when one bandwidth serves every row)."""
+    need it."""
     kernel_rows = {}
     for i, spec in enumerate(specs):
         if spec.kind != MSE:
             kernel_rows.setdefault(spec.h, []).append(i)
-    if [len(rows) for rows in kernel_rows.values()] == [len(R)]:
-        (h,) = kernel_rows
-        values, G = _kernel(R, h)
-    else:
-        values, G = np.empty(len(R)), np.empty(R.shape)
-        for h, rows in kernel_rows.items():
-            values[rows], G[rows] = _kernel(R[rows], h)
+    values, G = np.empty(len(R)), np.empty(R.shape)
+    for h, rows in kernel_rows.items():
+        values[rows], G[rows] = _kernel(R[rows], h)
     for i, (spec, r) in enumerate(zip(specs, R)):
         if spec.kind == MSE:
             values[i] = 0.5 * float(r @ r)

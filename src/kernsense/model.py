@@ -19,9 +19,10 @@
 #   each way (normal_products).
 # - Batch axis: apply_op maps a stack (..., n, n) to (..., m) and
 #   adjoint_op maps (..., m) to (..., n, n).  A single matrix or vector is
-#   one matrix-vector product; a stack is matrix-matrix products over
-#   zero-padded blocks of _OP_BLOCK items, so each item's result is
-#   bitwise independent of the stack's height and of the other items.
+#   one matrix-vector product; a stack is one batched product over
+#   zero-padded blocks of _OP_BLOCK items (a GEMM per block), so each
+#   item's result is bitwise independent of the stack's height and of the
+#   other items.
 # - Measurements are b = A(M*) + w for a noise vector w of length m.
 # - Every generator is a pure function of (parameters, seed).
 
@@ -310,17 +311,14 @@ def orthonormal_basis_operator(n: int) -> SensingOperator:
 
 def _stacked_product(x: np.ndarray, A: np.ndarray) -> np.ndarray:
     """x @ A over the last axis of x: one GEMV for a single vector, else one
-    GEMM per zero-padded block of _OP_BLOCK rows."""
+    batched matmul over the rows zero-padded to whole blocks of _OP_BLOCK
+    rows, which numpy makes as one GEMM per block."""
     if x.ndim == 1:
         return x @ A
     rows = x.reshape(-1, x.shape[-1])
-    out = np.empty((rows.shape[0], A.shape[1]))
-    block = np.empty((_OP_BLOCK, rows.shape[1]))
-    for i in range(0, rows.shape[0], _OP_BLOCK):
-        part = rows[i:i + _OP_BLOCK]
-        block[:len(part)] = part
-        block[len(part):] = 0.0
-        out[i:i + len(part)] = (block @ A)[:len(part)]
+    blocks = np.zeros((-(-len(rows) // _OP_BLOCK), _OP_BLOCK, rows.shape[1]))
+    blocks.reshape(-1, rows.shape[1])[:len(rows)] = rows
+    out = (blocks @ A).reshape(-1, A.shape[1])[:len(rows)]
     return out.reshape(x.shape[:-1] + A.shape[1:])
 
 

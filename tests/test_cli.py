@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from kernsense.cli import build_parser, main
+from kernsense.cli import BOUNDS_FLOAT_INPUTS, build_parser, main
 from kernsense.model import (NoiseModel, instance_from_json, instance_to_json,
                              make_instance, prob_norm_bound)
 from kernsense.sweep import SWEEP_CSV_HEADER, SweepConfig, run_sweep, sweep_csv
@@ -92,13 +92,35 @@ def test_non_finite_bandwidth_exit_two(tmp, capsys):
     assert not (tmp / "run_summary.json").exists()
 
 
-@pytest.mark.parametrize("flag,value", [("--h", "nan"), ("--h", "inf"),
-                                        ("--eps", "nan"), ("--eps", "inf")])
+# Every float a bounds run reads: each BoundInputs field by its flag
+# (--name) and by the config (name), the high-delta and report keys by the
+# config alone.
+BOUNDS_FLOAT_ARGS = ([f"--{name.replace('_', '-')}"
+                      for name in BOUNDS_FLOAT_INPUTS]
+                     + list(BOUNDS_FLOAT_INPUTS)
+                     + ["lambda_rstar", "norm_q", "gamma_min", "u_min_sq",
+                        "l_star", "lambda_mix", "rho"])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", BOUNDS_FLOAT_ARGS)
 def test_bounds_non_finite_input_exit_two(tmp, capsys, flag, value):
-    code = main(["bounds", "--delta", "0.2", "--eps", "0.5", "--h", "1.0",
-                 flag, value, "--out", str(tmp / "rep.json")])
+    # Only delta, eps and h were checked: NaN or inf in any other went
+    # silently into the printed bounds and the report JSON.  The high-delta
+    # keys are read only all together.
+    config = {"delta": 0.2, "eps": 0.5, "h": 1.0, "lambda_rstar": 1.0,
+              "norm_q": 1.0, "gamma_min": 1.0, "u_min_sq": 0.0}
+    argv = ["bounds", "--config", str(tmp / "cfg.json"),
+            "--out", str(tmp / "rep.json")]
+    if flag.startswith("--"):
+        argv += [flag, value]
+    else:
+        config[flag] = float(value)
+    (tmp / "cfg.json").write_text(json.dumps(config))
+    code = main(argv)
     assert code == 2
-    assert "finite" in capsys.readouterr().err
+    name = flag.lstrip("-").replace("-", "_")
+    assert f"{name} must be finite" in capsys.readouterr().err
     assert not (tmp / "rep.json").exists()
 
 
@@ -366,6 +388,7 @@ def test_solve_summary_reports_final_grad_norm(tmp):
                                           ("gaussian", "sigma=nan"),
                                           ("student_t", "dof=inf,scale=1"),
                                           ("gaussian", "sigma=0.1,sgima=0.5"),
+                                          ("gaussian", "sigma=1,sigma=2"),
                                           ("gaussian", "sigma"),
                                           ("gaussian", "sigma=")])
 def test_bad_noise_params_exit_two(tmp, capsys, noise, params):

@@ -226,7 +226,8 @@ class TestBatchAxis:
         assert np.array_equal(got[full], v @ op.P)
         assert np.array_equal(got, got.T)
 
-    @pytest.mark.parametrize("n,m", [(2, 5), (7, 60)])
+    # (40, 1200) is the shape of the sweep's and the estimators' products.
+    @pytest.mark.parametrize("n,m", [(2, 5), (7, 60), (40, 1200)])
     def test_item_bits_independent_of_stack(self, n, m):
         # BLAS rounds a row of a product differently depending on how many
         # rows share the call; blocking must hide that from the caller.
